@@ -4,10 +4,10 @@ All numeric output is JSON (scalars included) except ``curves``, which emits
 CSV with header ``r,value,label``.  Floats are rounded to a fixed number of
 significant digits (--precision, default 9) with locale-independent
 formatting, so identical commands produce byte-identical output.  Exit
-codes: 0 success, 1 verification failure, 2 usage error.
+codes: 0 success, 1 verification, domain or runtime failure, 2 usage error.
 
-The QIG_THREADS environment variable caps the worker count of the Monte
-Carlo subcommand; computations are deterministic for any setting.
+The Monte Carlo subcommand fits its repetitions together as array lanes,
+and its reports are deterministic per (seed, M, R).
 """
 
 from __future__ import annotations
@@ -64,6 +64,16 @@ def _parse_point(text) -> bloch.BlochCartesian:
         return bloch.BlochCartesian(x, y, z)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _at_least(lo: int):
+    """argparse type: an integer no smaller than ``lo``."""
+    def integer(text):  # argparse names the function in "invalid integer value"
+        value = int(text)
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+    return integer
 
 
 def _matrix_payload(m: bloch.InfoMatrix) -> dict:
@@ -184,7 +194,7 @@ def cmd_verify_all(args):
         failed += not res.passed
         print(f"{status} [{res.check_id:>2}] {res.title}: {res.detail}")
     print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 1 if failed else 0
+    return 1 if failed or not results else 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -193,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Information geometry of optimal joint measurements on "
                     "copies of two-level quantum systems.")
     parser.add_argument("--output", help="write output to a file instead of stdout")
-    parser.add_argument("--precision", type=int, default=9,
+    parser.add_argument("--precision", type=_at_least(1), default=9,
                         help="significant digits in numeric output (default 9)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -240,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curves", help="figure data as CSV (r,value,label)")
     p.add_argument("--figure", type=int, choices=tuple(_FIGURES), required=True,
                    help="; ".join(f"{k}: {v}" for k, v in _FIGURES.items()))
-    p.add_argument("--grid", type=int, default=200, help="points per curve")
+    p.add_argument("--grid", type=_at_least(2), default=200,
+                   help="points per curve (>= 2)")
     p.set_defaults(fn=cmd_curves)
 
     p = sub.add_parser("coding", help="Clarke-Barron style redundancy (nats)")
@@ -266,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_mc)
 
     p = sub.add_parser("verify-all", help="run the acceptance checks and print a ledger")
-    p.add_argument("--ids", nargs="*", help="run only these check ids")
+    p.add_argument("--ids", nargs="+", metavar="ID",
+                   choices=[check_id for check_id, _, _ in acceptance.CHECKS],
+                   help="run only these check ids")
     p.set_defaults(fn=cmd_verify_all)
 
     return parser
@@ -276,7 +289,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, analysis.NonConvergenceError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

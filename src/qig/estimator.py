@@ -10,25 +10,22 @@ Reproducibility: the bit generator is Philox, a counter-based 64-bit
 generator; repetition k draws from ``Philox(key=seed).jumped(k)``, i.e.
 streams are split by jumping rather than by reseeding, so the same
 (seed, M, R) reproduces every count vector bit-for-bit and repetitions
-stay independent no matter how they are scheduled.  Aggregation happens
-in repetition order, so reports are identical for any worker count; the
-QIG_THREADS environment variable caps the thread pool (default serial).
+stay independent.  Repetitions are fitted together as array lanes, and
+reports are deterministic per (seed, M, R).
 
 The likelihood is maximized over the Cartesian ball (radius capped at
-1 - 1e-9) by projected gradient ascent with exact dual-number gradients,
-Barzilai-Borwein steps, and an Armijo backtracking safeguard, multi-started
-from the caller's initial point plus eight fixed perturbations.  Models
-whose probabilities depend only on (x^2, y^2, z^2) -- the quadrinomial
-being the canonical case -- have sign-symmetric likelihoods; the returned
-branch is the one reachable from the initial point, which is a property of
-the model, not a defect of the optimizer.
+1 - 1e-9) by projected gradient ascent from the caller's initial point,
+with exact dual-number gradients, Barzilai-Borwein steps, and an Armijo
+backtracking safeguard.  Models whose probabilities depend only on
+(x^2, y^2, z^2) -- the quadrinomial being the canonical case -- have
+sign-symmetric likelihoods; the returned branch is the one reachable from
+the initial point, which is a property of the model, not a defect of the
+optimizer.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,24 +42,10 @@ __all__ = [
     "sample_counts",
     "mle_fit",
     "efficiency_report",
-    "worker_count",
 ]
 
 #: radial cap keeping iterates strictly inside the ball
 BALL_MARGIN = 1e-9
-#: fixed multi-start perturbations: the eight cube-corner directions, scaled
-START_OFFSETS = 0.05 / math.sqrt(3.0) * np.array(
-    [(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=float)
-
-
-def worker_count() -> int:
-    """Thread cap for repetition scheduling, from QIG_THREADS (default 1)."""
-    raw = os.environ.get("QIG_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"QIG_THREADS must be an integer, got {raw!r}") from None
-    return max(1, n)
 
 
 @dataclass(frozen=True)
@@ -109,73 +92,97 @@ class MleResult:
     log_likelihood: float
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (L, 3) arrays, summed in the same order for any L."""
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dot(a, a))
+
+
 def _project(v: np.ndarray) -> np.ndarray:
-    nrm = math.sqrt(float(v @ v))
+    """Scale the rows of v lying outside radius 1 - BALL_MARGIN back onto it."""
     cap = 1.0 - BALL_MARGIN
-    return v * (cap / nrm) if nrm > cap else v
+    return v * (cap / np.maximum(_norm(v), cap))[:, None]
 
 
 def _loglik_grad(model: ProbModel, counts: np.ndarray, v: np.ndarray):
-    """Multinomial log-likelihood and its exact gradient at v (in the ball)."""
-    x, y, z = seed_xyz(float(v[0]), float(v[1]), float(v[2]))
-    loglik = 0.0
-    grad = np.zeros(3)
-    for n_i, term in zip(counts, model.formula(x, y, z)):
-        if n_i == 0:
-            continue
-        if not isinstance(term, Dual):  # state-independent outcome
-            loglik += n_i * math.log(float(term))
-            continue
-        p = term.val
-        if p <= 0.0:
-            return -math.inf, grad
-        loglik += n_i * math.log(p)
-        w = n_i / p
-        grad[0] += w * term.dx
-        grad[1] += w * term.dy
-        grad[2] += w * term.dz
+    """Multinomial log-likelihoods and exact gradients at the lanes v, shape (L, 3).
+
+    A lane giving probability <= 0 to an observed outcome gets -inf.
+    """
+    x, y, z = seed_xyz(v[:, 0], v[:, 1], v[:, 2])
+    loglik = np.zeros(len(v))
+    grad = np.zeros_like(v)
+    for n_i, term in zip(counts.T, model.formula(x, y, z)):
+        dual = isinstance(term, Dual)  # else a state-independent outcome
+        p = np.where(n_i > 0, term.val if dual else term, 1.0)  # unobserved: adds 0
+        hit = p > 0.0
+        p = np.where(hit, p, 1.0)
+        loglik += np.where(hit, n_i * np.log(p), -math.inf)
+        if dual:
+            w = np.where(hit, n_i / p, 0.0)
+            grad[:, 0] += w * term.dx
+            grad[:, 1] += w * term.dy
+            grad[:, 2] += w * term.dz
     return loglik, grad
 
 
-def _ascend(model, counts, start, max_iter, step_tol, grad_tol):
-    """Projected gradient ascent with BB steps and Armijo backtracking."""
-    v = _project(np.asarray(start, dtype=float))
+def _fit_lanes(model, counts, starts, max_iter=500, step_tol=1e-12, grad_tol=1e-7):
+    """Projected gradient ascent with BB steps and Armijo backtracking, per lane.
+
+    Lanes are the rows of ``counts`` (L, n_outcomes) and ``starts`` (L, 3).
+    Each lane keeps its own step, iteration count and stopping tests, so it
+    follows exactly the iterates it would follow alone.  Returns the final
+    points, converged flags, iteration counts and log-likelihoods.
+    """
+    v = _project(np.asarray(starts, dtype=float))
     loglik, grad = _loglik_grad(model, counts, v)
-    step = 1.0 / (1.0 + float(np.linalg.norm(grad)))
-    prev_v = prev_grad = None
+    step = 1.0 / (1.0 + _norm(grad))
+    prev_v, prev_grad = np.empty_like(v), np.empty_like(grad)
+    converged = np.zeros(len(v), dtype=bool)
+    iterations = np.full(len(v), max_iter)
+    interior_r2 = (1.0 - BALL_MARGIN) ** 2 * (1.0 - 1e-12)
+    live = np.arange(len(v))
     for it in range(1, max_iter + 1):
-        gnorm = float(np.linalg.norm(grad))
-        at_boundary = float(v @ v) >= (1.0 - BALL_MARGIN) ** 2 * (1.0 - 1e-12)
-        if gnorm <= grad_tol and not at_boundary:
-            return v, True, it, loglik
-        if prev_v is not None:
-            s = v - prev_v
-            y = prev_grad - grad
-            sy = float(s @ y)
-            if sy > 0.0:
-                step = float(s @ s) / sy
-        step = min(max(step, 1e-14), 1e6)
-        # Armijo backtracking on the projected step
-        accepted = False
-        t = step
+        done = (_norm(grad[live]) <= grad_tol) & (_dot(v[live], v[live]) < interior_r2)
+        converged[live[done]] = True
+        iterations[live[done]] = it
+        live = live[~done]
+        if it > 1:
+            s = v[live] - prev_v[live]
+            sy = _dot(s, prev_grad[live] - grad[live])
+            bb = sy > 0.0
+            step[live[bb]] = _dot(s, s)[bb] / sy[bb]
+        step[live] = np.clip(step[live], 1e-14, 1e6)
+        # Armijo backtracking on the projected step; accepted lanes move in place
+        prev_v[live], prev_grad[live] = v[live], grad[live]
+        t = step[live]
+        pending = np.ones(len(live), dtype=bool)
         for _ in range(80):
-            w = _project(v + t * grad)
-            new_loglik, new_grad = _loglik_grad(model, counts, w)
-            if new_loglik >= loglik + 1e-4 * float(grad @ (w - v)):
-                accepted = True
+            lanes = live[pending]
+            trial = _project(v[lanes] + t[pending, None] * grad[lanes])
+            ll, g = _loglik_grad(model, counts[lanes], trial)
+            ok = ll >= loglik[lanes] + 1e-4 * _dot(grad[lanes], trial - v[lanes])
+            v[lanes[ok]], loglik[lanes[ok]], grad[lanes[ok]] = trial[ok], ll[ok], g[ok]
+            pending[pending] = ~ok
+            if not pending.any():
                 break
-            t *= 0.5
-        if not accepted:
-            return v, gnorm <= grad_tol and not at_boundary, it, loglik
-        moved = float(np.linalg.norm(w - v))
-        prev_v, prev_grad = v, grad
-        v, loglik, grad = w, new_loglik, new_grad
-        if moved <= step_tol:
-            # stationary; interior points are genuine optima, boundary-pinned
-            # ones are flagged (the unconstrained maximizer lies outside)
-            interior_ok = float(v @ v) < (1.0 - BALL_MARGIN) ** 2 * (1.0 - 1e-12)
-            return v, bool(interior_ok or float(np.linalg.norm(grad)) <= grad_tol), it, loglik
-    return v, False, max_iter, loglik
+            t[pending] *= 0.5
+        iterations[live[pending]] = it  # no ascent step found: stalled, not converged
+        live = live[~pending]
+        small = _norm(v[live] - prev_v[live]) <= step_tol
+        # stationary; interior points are genuine optima, boundary-pinned ones
+        # are flagged (the unconstrained maximizer lies outside)
+        stop = live[small]
+        converged[stop] = (_dot(v[stop], v[stop]) < interior_r2) \
+            | (_norm(grad[stop]) <= grad_tol)
+        iterations[stop] = it
+        live = live[~small]
+        if not live.size:
+            break
+    return v, converged & np.isfinite(loglik), iterations, loglik
 
 
 def mle_fit(model: ProbModel, counts, init: BlochCartesian,
@@ -184,25 +191,19 @@ def mle_fit(model: ProbModel, counts, init: BlochCartesian,
     """Maximum-likelihood state for observed outcome counts.
 
     Maximizes sum_i n_i log p_i(x, y, z) over the ball of radius 1 - 1e-9 by
-    multi-start projected gradient ascent (the initial point plus eight fixed
-    perturbations); the best final likelihood wins.  ``converged`` is False
-    when the winning start exhausted its iterations or stalled against the
-    boundary with an outward gradient (degenerate data such as single-outcome
-    counts); the best iterate is still returned.
+    projected gradient ascent from ``init``.  ``converged`` is False when the
+    ascent exhausted its iterations or stalled against the boundary with an
+    outward gradient (degenerate data such as single-outcome counts); the
+    last iterate is still returned.
     """
     counts = np.asarray(counts)
     if counts.shape != (model.n_outcomes,):
         raise ValueError(f"counts must have shape ({model.n_outcomes},), got {counts.shape}")
     if counts.sum() <= 0:
         raise ValueError("counts must total at least one observation")
-    starts = [init.as_array()] + [init.as_array() + d for d in START_OFFSETS]
-    best = None
-    for start in starts:
-        v, ok, iters, loglik = _ascend(model, counts, start, max_iter, step_tol, grad_tol)
-        if best is None or loglik > best[3]:
-            best = (v, ok, iters, loglik)
-    v, ok, iters, loglik = best
-    return MleResult(BlochCartesian(*v), bool(ok), iters, float(loglik))
+    v, ok, iters, loglik = _fit_lanes(model, counts[None], init.as_array()[None],
+                                      max_iter, step_tol, grad_tol)
+    return MleResult(BlochCartesian(*v[0]), bool(ok[0]), int(iters[0]), float(loglik[0]))
 
 
 @dataclass(frozen=True)
@@ -248,12 +249,13 @@ def _empirical_info(model: ProbModel, counts: np.ndarray, at: BlochCartesian) ->
 def efficiency_report(run: EstimationRun) -> EfficiencyReport:
     """Run R independent repetitions of (sample, fit) and compare with the CRB.
 
-    Each repetition draws M outcomes on its own pre-split stream and fits the
-    MLE initialized at the truth.  The empirical covariance of the R
-    estimates is compared entrywise with F(truth)^{-1}/M; ratio_diag holds
-    the three variance ratios (asymptotically 1 for an efficient estimator).
-    gm_trace is trace(H_q^{-1} F_hat) with F_hat the repetition-averaged
-    per-observation empirical information at the fitted states.
+    Each repetition draws M outcomes on its own pre-split stream; the R MLEs,
+    each initialized at the truth, are fitted together as array lanes.  The
+    empirical covariance of the R estimates is compared entrywise with
+    F(truth)^{-1}/M; ratio_diag holds the three variance ratios
+    (asymptotically 1 for an efficient estimator).  gm_trace is
+    trace(H_q^{-1} F_hat) with F_hat the repetition-averaged per-observation
+    empirical information at the fitted states.
     """
     fisher = infogeo.fisher_information(run.model, run.truth).entries
     expected = run.trials * run.model.eval(run.truth)
@@ -261,26 +263,16 @@ def efficiency_report(run: EstimationRun) -> EfficiencyReport:
         raise ValueError(
             f"smallest expected count {expected.min():.2f} < 10; "
             "increase trials for a meaningful covariance comparison")
+    if run.repetitions < 2:
+        raise ValueError(f"a covariance needs at least 2 repetitions, got {run.repetitions}")
 
-    def one_rep(k: int):
-        counts = sample_counts(run, k)
-        fit = mle_fit(run.model, counts, run.truth)
-        info = _empirical_info(run.model, counts, fit.point)
-        return fit, info
-
-    workers = worker_count()
-    reps = range(run.repetitions)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(one_rep, reps))
-    else:
-        results = [one_rep(k) for k in reps]
-
-    points = np.array([[f.point.x, f.point.y, f.point.z] for f, _ in results])
-    failures = sum(1 for f, _ in results if not f.converged)
+    counts = np.array([sample_counts(run, k) for k in range(run.repetitions)])
+    starts = np.tile(run.truth.as_array(), (run.repetitions, 1))
+    points, converged, _, _ = _fit_lanes(run.model, counts, starts)
     cov = np.cov(points, rowvar=False, ddof=1)
     crb = np.linalg.inv(fisher) / run.trials
-    f_hat = np.mean([info for _, info in results], axis=0)
+    f_hat = np.mean([_empirical_info(run.model, c, BlochCartesian(*v))
+                     for c, v in zip(counts, points)], axis=0)
     h_inv = infogeo.helstrom_inverse(run.truth).entries
     return EfficiencyReport(
         model=run.model.name,
@@ -291,7 +283,7 @@ def efficiency_report(run: EstimationRun) -> EfficiencyReport:
         empirical_cov=cov,
         crb=crb,
         ratio_diag=np.diag(cov) / np.diag(crb),
-        failures=failures,
+        failures=int(np.count_nonzero(~converged)),
         empirical_fisher=f_hat,
         gm_trace=float(np.trace(h_inv @ f_hat)),
     )

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qig import coding
+from qig import acceptance, coding
 from qig.cli import main
 
 
@@ -148,6 +148,14 @@ class TestMonteCarloCommand:
         assert code == 0
         assert json.loads(out)["model"] == "quadrinomial"
 
+    def test_single_repetition_is_one_error_line(self, capsys):
+        code = main(["mc", "--n", "2", "--truth", "0.3,0.2,0.1",
+                     "--M", "5000", "--R", "1", "--seed", "5"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
 
 class TestVerifyAll:
     def test_subset_passes(self, capsys):
@@ -155,6 +163,23 @@ class TestVerifyAll:
         assert code == 0
         assert out.count("PASS") == 2
         assert "2/2 checks passed" in out
+
+    def test_unknown_id_is_usage_error_naming_valid_ids(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["verify-all", "--ids", "99"])
+        assert err.value.code == 2
+        assert "'X4'" in capsys.readouterr().err
+
+    def test_empty_selection_is_usage_error(self):
+        with pytest.raises(SystemExit) as err:
+            main(["verify-all", "--ids"])
+        assert err.value.code == 2
+
+    def test_zero_checks_never_pass(self, capsys, monkeypatch):
+        monkeypatch.setattr(acceptance, "run_all", lambda ids: [])
+        code, out = run_cli(capsys, "verify-all")
+        assert code == 1
+        assert "0/0 checks passed" in out
 
 
 class TestOutputHandling:
@@ -171,6 +196,22 @@ class TestOutputHandling:
     def test_runtime_error_exits_one(self, capsys):
         code = main(["volume", "--n", "3", "--order", "10"])
         assert code == 1
+
+    def test_precision_below_one_is_usage_error(self):
+        with pytest.raises(SystemExit) as err:
+            main(["--precision", "0", "bound-radius"])
+        assert err.value.code == 2
+
+    def test_curve_grid_below_two_is_usage_error(self):
+        with pytest.raises(SystemExit) as err:
+            main(["curves", "--figure", "1", "--grid", "0"])
+        assert err.value.code == 2
+
+    def test_unwritable_output_is_one_error_line(self, tmp_path, capsys):
+        code = main(["--output", str(tmp_path / "missing" / "x"), "bound-radius"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as err:

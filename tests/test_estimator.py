@@ -68,6 +68,13 @@ class TestMleFit:
         fit = mle_fit(model, counts, BlochCartesian(-0.5, -0.5, -0.5), max_iter=1)
         assert not fit.converged
 
+    def test_zero_likelihood_init_is_not_converged(self):
+        # p_0 = x^2 vanishes on the whole x = 0 plane, and so does its x-gradient
+        fit = mle_fit(infogeo.quadrinomial_model(), np.array([250, 250, 250, 250]),
+                      BlochCartesian(0.0, 0.4, 0.4))
+        assert fit.log_likelihood == -np.inf
+        assert not fit.converged
+
     def test_count_validation(self):
         model = povm.vidal_model(2)
         with pytest.raises(ValueError):
@@ -110,17 +117,23 @@ class TestEfficiencyReport:
         assert np.array_equal(a.empirical_cov, b.empirical_cov)
         assert a.gm_trace == b.gm_trace
 
-    def test_worker_count_does_not_change_results(self, monkeypatch):
-        run = EstimationRun(povm.vidal_model(2), TRUTH, 10 ** 4, 8, seed=42)
-        serial = efficiency_report(run)
-        monkeypatch.setenv("QIG_THREADS", "4")
-        threaded = efficiency_report(run)
-        assert np.array_equal(serial.empirical_cov, threaded.empirical_cov)
-        assert serial.to_json() == threaded.to_json()
+    def test_batched_lanes_equal_single_fits(self):
+        model = povm.vidal_model(2)
+        run = EstimationRun(model, TRUTH, 10 ** 4, 8, seed=42)
+        report = efficiency_report(run)
+        fits = [mle_fit(model, sample_counts(run, k), run.truth) for k in range(8)]
+        points = np.array([f.point.as_array() for f in fits])
+        assert np.array_equal(np.cov(points, rowvar=False, ddof=1), report.empirical_cov)
+        assert sum(not f.converged for f in fits) == report.failures
 
     def test_small_expected_counts_rejected(self):
         run = EstimationRun(povm.vidal_model(2), TRUTH, 20, 5, seed=1)
         with pytest.raises(ValueError):
+            efficiency_report(run)
+
+    def test_single_repetition_rejected(self):
+        run = EstimationRun(povm.vidal_model(2), TRUTH, 10 ** 4, 1, seed=1)
+        with pytest.raises(ValueError, match="at least 2 repetitions"):
             efficiency_report(run)
 
     def test_json_schema(self):
