@@ -33,7 +33,6 @@ from .infogeo import (
     MetricKind,
     ProbModel,
     ZeroProbabilityError,
-    cr_oprom_feasibility,
     custom_metric,
     fisher_information,
     g_function,
@@ -47,15 +46,12 @@ from .infogeo import (
     quadrinomial_model,
 )
 from .povm import (
-    FisherFamily,
     UnsupportedNError,
     fisher_closed_form,
     fisher_spherical_diag,
     fully_mixed_entry11,
-    fisher_family,
     fully_mixed_entry11_limit,
     gm_trace_reference,
-    pure_limit_entries,
     vidal_model,
     vidal_probabilities,
 )

@@ -9,6 +9,10 @@ their endpoint limits, the matrix-dominance structure c*H_q >= F_N and its
 tight scalar, the Bloch-ball volume integrals of sqrt(det F_N), and sampled
 curve tables suitable for reproducing the figures.
 
+The traces, reference polynomials and curves are evaluated on arrays of
+points or radii in one call each; :func:`gm_trace` and the other
+point-wise functions are wrappers that validate one state.
+
 Scans use a deterministic low-discrepancy grid (Halton, fixed seed below)
 of ball points plus a dense radial line near r = 1, where all known
 dominance violations cluster.  PSD decisions rescale the matrix to unit
@@ -23,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq
-from scipy.special import roots_legendre
 from scipy.stats import qmc
 
 from . import infogeo, povm
@@ -33,10 +36,9 @@ from .bloch import (
     DegenerateCoordinatesError,
     InfoMatrix,
     PureStateError,
-    congruence_to_spherical,
     to_cartesian,
-    to_spherical,
 )
+from .coding import _gl_nodes
 from .infogeo import HELSTROM, QUASI_BURES, YUEN_LAX, as_metric_kind
 
 __all__ = [
@@ -89,29 +91,35 @@ class NonConvergenceError(RuntimeError):
 # Traces
 # ---------------------------------------------------------------------------
 
+def _gm_trace_batch(metric, n_copies: int, xyz) -> np.ndarray:
+    """gm_trace at points of shape (..., 3), all with 0 < r < 1."""
+    xyz = np.asarray(xyz, dtype=float)
+    r2 = np.sum(xyz * xyz, axis=-1)
+    if np.any(r2 >= 1.0):
+        raise PureStateError("gm_trace needs r < 1; use limit_trace('pure')")
+    if np.any(r2 <= 0.0):
+        raise ValueError("gm_trace needs r > 0; use limit_trace('mixed')")
+    f = povm.closed_form_batch(n_copies, xyz)
+    q = np.einsum("...i,...ij,...j->...", xyz, f, xyz) / r2
+    a = infogeo._angular_scale(metric, np.sqrt(r2))
+    return (1.0 - r2) * q + (np.trace(f, axis1=-2, axis2=-1) - q) / a
+
+
 def gm_trace(metric, n_copies: int, c: BlochCartesian) -> float:
     """trace(G(metric)^{-1} F_N) at an interior state, 0 < r < 1.
 
-    Coordinate-system independent: the Helstrom kind is evaluated in
-    Cartesian coordinates through the closed-form inverse, every other kind
-    in the spherical chart where its tensor is diagonal.  Endpoints are
-    excluded (the Helstrom metric is singular at r = 1, the angular parts of
-    others at r = 0); use :func:`limit_trace` there.
+    Coordinate-system independent, and evaluated without a chart: G^{-1} is
+    1-r^2 along the radial unit vector and 1/(r^2 a) on the tangent plane,
+    a(r) = g(s)/(1+r), so with v the state and q = v^T F_N v / r^2
+
+        trace = (1-r^2) q + (trace F_N - q) / a,
+
+    which for Helstrom (a = 1) is trace F_N - v^T F_N v.  States on the
+    polar axis of the x-polar chart need no special care.  Endpoints are
+    excluded (the Helstrom metric is singular at r = 1, the angular parts
+    of others at r = 0); use :func:`limit_trace` there.
     """
-    metric = as_metric_kind(metric)
-    r = c.r
-    if r >= 1.0:
-        raise PureStateError("gm_trace needs r < 1; use limit_trace('pure')")
-    if r <= 0.0:
-        raise ValueError("gm_trace needs r > 0; use limit_trace('mixed')")
-    if metric.name == "helstrom":
-        h_inv = infogeo.helstrom_inverse(c).entries
-        f = povm.fisher_closed_form(n_copies, c).entries
-        return float(np.trace(h_inv @ f))
-    s_pt = to_spherical(c)
-    g = infogeo.monotone_metric(metric, s_pt)  # rejects degenerate theta
-    f_sph = congruence_to_spherical(povm.fisher_closed_form(n_copies, c), s_pt)
-    return float(np.sum(np.diag(f_sph.entries) / np.diag(g.entries)))
+    return float(_gm_trace_batch(metric, n_copies, c.as_array()))
 
 
 def diagonal_colatitude(c: BlochCartesian) -> float:
@@ -127,14 +135,13 @@ def diagonal_colatitude(c: BlochCartesian) -> float:
     return math.acos(max(-1.0, min(1.0, (c.x + c.y + c.z) / (math.sqrt(3.0) * r))))
 
 
-def modified_trace_reference(metric, n_copies: int, r: float,
-                             theta: float | None = None) -> float:
+def modified_trace_reference(metric, n_copies: int, r, theta=None):
     """Closed-form Yuen-Lax (right-logarithmic-derivative) modified traces.
 
     The Yuen-Lax metric is conformal in Cartesian coordinates
     (G = I/(1-r^2)), so these traces are (1-r^2) * trace(F_N).  Available
     for N = 2, 4, 5, 6; all equal N - 1 at r = 1 and coincide with the
-    Helstrom traces at r = 0.
+    Helstrom traces at r = 0.  Accepts floats (returns a float) or arrays.
 
     The N = 5 form carries an angle-dependent term, so theta is required
     there.  theta is the colatitude from the DIAGONAL axis (1,1,1)/sqrt(3)
@@ -146,21 +153,23 @@ def modified_trace_reference(metric, n_copies: int, r: float,
     if metric.name != "yuen_lax":
         raise ValueError("closed-form modified traces are available for the "
                          "yuen_lax metric only")
-    r2 = r * r
+    r2 = np.asarray(r, dtype=float) ** 2
     if n_copies == 2:
-        return 3.0 - 2.0 * r2
-    if n_copies == 4:
-        return (87.0 - 61.0 * r2 + 10.0 * r2 * r2) / 12.0
-    if n_copies == 5:
+        t = 3.0 - 2.0 * r2
+    elif n_copies == 4:
+        t = (87.0 - 61.0 * r2 + 10.0 * r2 * r2) / 12.0
+    elif n_copies == 5:
         if theta is None:
             raise ValueError("the N = 5 modified trace depends on theta; pass theta")
-        denom = r2 + r2 * math.cos(2.0 * theta) - 2.0
-        return (147.0 - 96.0 * r2 + 13.0 * r2 * r2
-                + 10.0 * (r2 - 1.0) ** 3 / denom) / 16.0
-    if n_copies == 6:
-        return (1425.0 - 1070.0 * r2 + 307.0 * r2 * r2 - 62.0 * r2 ** 3) / 120.0
-    raise povm.UnsupportedNError(
-        f"closed-form modified traces exist for N in (2, 4, 5, 6), got {n_copies}")
+        denom = r2 + r2 * np.cos(2.0 * np.asarray(theta, dtype=float)) - 2.0
+        t = (147.0 - 96.0 * r2 + 13.0 * r2 * r2
+             + 10.0 * (r2 - 1.0) ** 3 / denom) / 16.0
+    elif n_copies == 6:
+        t = (1425.0 - 1070.0 * r2 + 307.0 * r2 * r2 - 62.0 * r2 ** 3) / 120.0
+    else:
+        raise povm.UnsupportedNError(
+            f"closed-form modified traces exist for N in (2, 4, 5, 6), got {n_copies}")
+    return float(t) if t.ndim == 0 else t
 
 
 _LIMIT_H = 1e-8
@@ -254,10 +263,8 @@ def ball_grid(region: tuple[float, float] = (0.0, 0.999),
     return pts
 
 
-def _scaled_min_eigs(n_copies: int, scalar: float, pts: np.ndarray) -> np.ndarray:
+def _scaled_min_eigs(scalar: float, h: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Min eigenvalue of (c*H_q - F_N)/||.||_F at each scan point."""
-    h = infogeo.helstrom_batch(pts)
-    f = povm.closed_form_batch(n_copies, pts)
     d = scalar * h - f
     norms = np.linalg.norm(d, axis=(-2, -1))
     norms[norms == 0.0] = 1.0
@@ -289,7 +296,8 @@ def scan_dominance(n_copies: int, scalar: float,
                    tol: float = PSD_TOL, max_reported: int = 50) -> DominanceReport:
     """Scan whether scalar*H_q dominates F_N over the deterministic grid."""
     pts = ball_grid(region)
-    eigs = _scaled_min_eigs(n_copies, scalar, pts)
+    eigs = _scaled_min_eigs(scalar, infogeo.helstrom_batch(pts),
+                            povm.closed_form_batch(n_copies, pts))
     bad = np.flatnonzero(eigs < -tol)
     order = bad[np.argsort(eigs[bad])][:max_reported]
     return DominanceReport(
@@ -314,9 +322,11 @@ def min_dominating_scalar(n_copies: int,
         raise povm.UnsupportedNError(
             f"dominating-scalar search needs a closed-form matrix, N in 3..6, got {n_copies}")
     pts = ball_grid(region)
+    h = infogeo.helstrom_batch(pts)
+    f = povm.closed_form_batch(n_copies, pts)
 
     def dominated(c):
-        return bool(_scaled_min_eigs(n_copies, c, pts).min() >= -psd_tol)
+        return bool(_scaled_min_eigs(c, h, f).min() >= -psd_tol)
 
     lo, hi = 0.0, float(n_copies)
     if not dominated(hi):
@@ -377,10 +387,8 @@ class QuadratureSpec:
             raise ValueError("quadrature order below the default 48 is not allowed")
 
 
-def _gl_nodes(order: int, lo: float, hi: float):
-    x, w = roots_legendre(order)
-    half = 0.5 * (hi - lo)
-    return lo + half * (x + 1.0), half * w
+#: odd-N determinants at or above -_DET_ROUNDOFF * max|F|^3 count as zero
+_DET_ROUNDOFF = 1e-12
 
 
 def _volume_at_order(n_copies: int, order: int) -> float:
@@ -388,25 +396,16 @@ def _volume_at_order(n_copies: int, order: int) -> float:
     # boundary singularity of sqrt(det F)
     u, wu = _gl_nodes(order, 0.0, 0.5 * math.pi)
     r = np.sin(u)
-    cu = np.cos(u)
-    if n_copies in (2, 4, 6):
-        # diagonal spherical form: sqrt(det) = sin(theta) * ang(r) * sqrt(rad(r));
+    t, wt = _gl_nodes(order, 0.0, math.pi)
+    if n_copies % 2 == 0:
+        # diagonal spherical form: sqrt(det) = sin(theta) r^2 a sqrt(b) / cos(u);
         # the angular integral factorizes
         r2 = r * r
-        if n_copies == 2:
-            rad_poly, ang = np.ones_like(r2), r2
-        elif n_copies == 4:
-            rad_poly, ang = (29.0 + 7.0 * r2) / 12.0, r2 * (29.0 - 5.0 * r2) / 12.0
-        else:
-            r4 = r2 * r2
-            rad_poly = (475.0 + 172.0 * r2 - 47.0 * r4) / 120.0
-            ang = r2 * (475.0 - 146.0 * r2 + 31.0 * r4) / 120.0
-        radial = float(np.sum(wu * ang * np.sqrt(rad_poly)))  # cos(u) cancelled
-        t, wt = _gl_nodes(order, 0.0, math.pi)
+        b, a = povm._even_profile(n_copies, r2)
+        radial = float(np.sum(wu * r2 * a * np.sqrt(b)))  # cos(u) cancelled
         angular = float(np.sum(wt * np.sin(t))) * 2.0 * math.pi
         return radial * angular
     # odd N: det in the spherical chart is (r^2 sin(theta))^2 det F_cartesian
-    t, wt = _gl_nodes(order, 0.0, math.pi)
     p, wp = _gl_nodes(order, 0.0, 2.0 * math.pi)
     rr = r[:, None, None]
     tt = t[None, :, None]
@@ -414,8 +413,16 @@ def _volume_at_order(n_copies: int, order: int) -> float:
     st = np.sin(tt)
     xyz = np.stack(np.broadcast_arrays(
         rr * np.cos(tt), rr * st * np.cos(pp), rr * st * np.sin(pp)), axis=-1)
-    det = np.linalg.det(povm.closed_form_batch(n_copies, xyz))
-    integrand = (rr * rr * st) * np.sqrt(np.maximum(det, 0.0)) * cu[:, None, None]
+    f = povm.closed_form_batch(n_copies, xyz)
+    det = np.linalg.det(f)
+    # F_N is PSD, so a negative determinant may only be roundoff
+    floor = -_DET_ROUNDOFF * np.max(np.abs(f), axis=(-2, -1)) ** 3
+    if np.any(det < floor):
+        worst = np.unravel_index(np.argmin(det - floor), det.shape)
+        raise RuntimeError(
+            f"det F_{n_copies} = {det[worst]:.3e} at a quadrature node (order {order}) "
+            f"is below the roundoff floor {floor[worst]:.3e}; F_{n_copies} is not PSD there")
+    integrand = (rr * rr * st) * np.sqrt(np.maximum(det, 0.0)) * np.cos(u)[:, None, None]
     weights = wu[:, None, None] * wt[None, :, None] * wp[None, None, :]
     return float(np.sum(weights * integrand))
 
@@ -524,33 +531,35 @@ def curve_sample(quantity: str, n_list=None, grid=None) -> list[CurveTable]:
     if quantity == "gm_scaled":
         for n in ns:
             scale = 2.0 * n - 1.0
-            vals = [povm.gm_trace_reference(n, r) / scale for r in grid]
+            vals = povm.gm_trace_reference(n, grid) / scale
             tables.append(CurveTable(grid, vals, f"gm_trace_N{n}_over_{int(scale)}", scale))
     elif quantity == "yl_scaled":
         for n in ns:
             scale = n - 1.0
-            vals = [modified_trace_reference(YUEN_LAX, n, r, theta=THETA0) / scale
-                    for r in grid]
+            vals = modified_trace_reference(YUEN_LAX, n, grid, theta=THETA0) / scale
             tables.append(CurveTable(grid, vals, f"yl_trace_N{n}_over_{int(scale)}", scale))
     elif quantity == "qb_scaled":
+        st = math.sin(THETA0)
+        xyz = grid[:, None] * [math.cos(THETA0), st * math.cos(PHI0), st * math.sin(PHI0)]
         for n in ns:
             scale = trace_limit_reference(QUASI_BURES, n, "pure")
-            vals = [gm_trace(QUASI_BURES, n, to_cartesian(BlochSpherical(r, THETA0, PHI0)))
-                    / scale for r in grid]
+            vals = _gm_trace_batch(QUASI_BURES, n, xyz) / scale
             tables.append(CurveTable(grid, vals, f"qb_trace_N{n}_scaled", scale))
     elif quantity == "entry11_over_N":
+        if np.any(grid >= 1.0):
+            raise PureStateError("closed-form Fisher matrices diverge at r = 1")
         for n in ns:
-            vals = [povm.fisher_spherical_diag(n, BlochSpherical(r, THETA0, PHI0))
-                    .entries[0, 0] / n for r in grid]
+            radial, _ = povm._even_profile(n, grid * grid)
+            vals = radial / ((1.0 - grid) * (1.0 + grid)) / n
             tables.append(CurveTable(grid, vals, f"entry11_N{n}_over_N", float(n)))
     else:  # g_functions, sampled in s
         for n in ns:
             if n == 2:
-                vals = [infogeo.g_function(HELSTROM, s) / 2.0 for s in grid]
+                vals = infogeo.g_function(HELSTROM, grid) / 2.0
             elif n == 4:
-                vals = [infogeo.g_function(infogeo.FITTED_N4, s) for s in grid]
+                vals = infogeo.g_function(infogeo.FITTED_N4, grid)
             elif n == 6:
-                vals = [infogeo.g_function(infogeo.FITTED_N6, s) for s in grid]
+                vals = infogeo.g_function(infogeo.FITTED_N6, grid)
             else:
                 raise ValueError(f"g-profile curves exist for N in (2, 4, 6), got {n}")
             tables.append(CurveTable(grid, vals, f"g_fit_N{n}"))

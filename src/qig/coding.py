@@ -140,22 +140,32 @@ def prior_value(kind, s_pt: BlochSpherical) -> float:
     return w * s_pt.r ** 2 * math.sin(s_pt.theta)
 
 
-def prior_normalization(kind, order: int = 200) -> float:
-    """Integral of the prior over the ball; 1 for properly normalized priors.
+def _gl_nodes(order: int, lo: float, hi: float):
+    """Gauss-Legendre nodes and weights of the given order on [lo, hi]."""
+    x, w = roots_legendre(order)
+    half = 0.5 * (hi - lo)
+    return lo + half * (x + 1.0), half * w
 
-    Gauss-Legendre in u with r = sin(u), which absorbs the Jeffreys and
-    quasi-Bures inverse-square-root boundary singularities.
+
+def _ball_integral(radial, order: int) -> float:
+    """Integral over the ball of radial(r) r^2 sin(theta), for an array function radial.
+
+    Gauss-Legendre in u with r = sin(u): dr = cos(u) du absorbs the
+    inverse-square-root boundary singularities of the Jeffreys and
+    quasi-Bures weights.
     """
+    u, wu = _gl_nodes(order, 0.0, 0.5 * math.pi)
+    r = np.sin(u)
+    integral = float(np.sum(wu * radial(r) * r ** 2 * np.cos(u)))
+    return integral * 4.0 * math.pi  # angular integral of sin(theta) dtheta dphi
+
+
+def prior_normalization(kind, order: int = 200) -> float:
+    """Integral of the prior over the ball; 1 for properly normalized priors."""
     kind = as_prior_kind(kind)
     if kind.radial is None:
         raise ValueError(f"prior {kind.name!r} has no radial weight attached")
-    x, w = roots_legendre(order)
-    u = 0.25 * math.pi * (x + 1.0)
-    wu = 0.25 * math.pi * w
-    r = np.sin(u)
-    vals = np.array([kind.radial(ri) for ri in r])
-    radial = float(np.sum(wu * vals * r ** 2 * np.cos(u)))
-    return radial * 4.0 * math.pi  # angular integral of sin(theta) dtheta dphi
+    return _ball_integral(np.vectorize(kind.radial, otypes=[float]), order)
 
 
 def quasi_bures_constant_quadrature(order: int = 400) -> float:
@@ -164,13 +174,8 @@ def quasi_bures_constant_quadrature(order: int = 400) -> float:
     Solves ∫ K e/(1-r^2) ((1-r)/(1+r))^(1/2r) r^2 sin(theta) = 1 for K;
     agrees with the tabulated 0.0832258 to its printed precision.
     """
-    x, w = roots_legendre(order)
-    u = 0.25 * math.pi * (x + 1.0)
-    wu = 0.25 * math.pi * w
-    r = np.sin(u)
-    f = math.e / ((1.0 - r) * (1.0 + r)) * _ratio_power(r, half=True)
-    integral = float(np.sum(wu * f * r ** 2 * np.cos(u))) * 4.0 * math.pi
-    return 1.0 / integral
+    return 1.0 / _ball_integral(
+        lambda r: math.e / ((1.0 - r) * (1.0 + r)) * _ratio_power(r, half=True), order)
 
 
 # ---------------------------------------------------------------------------

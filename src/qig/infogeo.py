@@ -17,6 +17,12 @@ distribution (x^2, y^2, z^2, 1-r^2) has Fisher information exactly 4*H_q,
 which together with additivity rules out any joint measurement on fewer
 than four copies realizing it.
 
+The closed forms are array kernels over points of shape (..., 3) or radii
+of any shape: :func:`helstrom_batch` and :func:`g_function` (which also
+returns a float for a float).  The point-wise functions that take a
+:class:`~qig.bloch.BlochCartesian` or :class:`~qig.bloch.BlochSpherical`
+validate it, call the kernel and wrap the result in an ``InfoMatrix``.
+
 A one-parameter family of rotationally invariant metrics is exposed through
 ``MetricKind``: each kind is a radial profile g(s), s = (1-r)/(1+r), and the
 metric tensor is diag(1/(1-r^2), r^2 g(s)/(1+r), r^2 g(s) sin^2(theta)/(1+r)).
@@ -58,7 +64,6 @@ __all__ = [
     "helstrom_spherical",
     "helstrom_inverse",
     "helstrom_batch",
-    "helstrom_entries",
     "MetricKind",
     "as_metric_kind",
     "HELSTROM",
@@ -71,7 +76,6 @@ __all__ = [
     "monotone_metric",
     "pure_helstrom_m2",
     "pure_helstrom_m3",
-    "cr_oprom_feasibility",
 ]
 
 #: outcomes with probability at or below this raise ZeroProbabilityError
@@ -138,7 +142,10 @@ def quadrinomial_model() -> ProbModel:
     """The four-outcome distribution (x^2, y^2, z^2, 1 - x^2 - y^2 - z^2).
 
     Its Fisher information equals 4*H_q everywhere all four probabilities
-    are positive.
+    are positive.  Fisher information is additive and a measurement on N
+    copies carries at most N*H_q (the quantum Cramer-Rao cap), so no POVM on
+    N < 4 copies has these outcome probabilities.  For N >= 4 the cap no
+    longer rules one out; whether one exists is open.
     """
     def formula(x, y, z):
         r2 = x * x + y * y + z * z
@@ -186,14 +193,26 @@ def fisher_information(model: ProbModel, c: BlochCartesian,
 # Helstrom information matrix
 # ---------------------------------------------------------------------------
 
-def helstrom_entries(x, y, z):
-    """Entries of H_q as a nested list; accepts scalars or arrays (r < 1)."""
+def _sym3(d, o):
+    """Symmetric [[d0, o0, o1], [o0, d1, o2], [o1, o2, d2]] on the last two axes."""
+    shape = np.broadcast_shapes(*(np.shape(t) for t in (*d, *o)))
+    out = np.empty(shape + (3, 3))
+    for i in range(3):
+        out[..., i, i] = d[i]
+    for (i, j), v in zip(((0, 1), (0, 2), (1, 2)), o):
+        out[..., i, j] = out[..., j, i] = v
+    return out
+
+
+def helstrom_batch(xyz: np.ndarray) -> np.ndarray:
+    """H_q at a batch of interior points, shape (..., 3) -> (..., 3, 3)."""
+    x, y, z = np.moveaxis(np.asarray(xyz, dtype=float), -1, 0)
     pref = 1.0 / (1.0 - x * x - y * y - z * z)
-    return [
-        [pref * (1.0 - y * y - z * z), pref * x * y, pref * x * z],
-        [pref * x * y, pref * (1.0 - x * x - z * z), pref * y * z],
-        [pref * x * z, pref * y * z, pref * (1.0 - x * x - y * y)],
-    ]
+    return _sym3(
+        (pref * (1.0 - y * y - z * z), pref * (1.0 - x * x - z * z),
+         pref * (1.0 - x * x - y * y)),
+        (pref * x * y, pref * x * z, pref * y * z),
+    )
 
 
 def helstrom_cartesian(c: BlochCartesian) -> InfoMatrix:
@@ -205,19 +224,28 @@ def helstrom_cartesian(c: BlochCartesian) -> InfoMatrix:
     """
     if c.r2 >= 1.0:
         raise PureStateError("the Helstrom matrix blows up at pure states (r >= 1)")
-    return InfoMatrix(np.array(helstrom_entries(c.x, c.y, c.z)), "cartesian")
+    return InfoMatrix(helstrom_batch(c.as_array()), "cartesian")
+
+
+def _spherical_diag(s: BlochSpherical, radial=1.0, angular=1.0) -> InfoMatrix:
+    """diag(radial/(1-r^2), r^2 angular, r^2 angular sin^2 theta) in the x-polar chart.
+
+    Every rotationally invariant matrix here has this form: H_q (1, 1), the
+    monotone metrics (1, a(r)) and the even-N Fisher matrices.
+    """
+    ang = s.r * s.r * angular
+    st = math.sin(s.theta)
+    return InfoMatrix(
+        np.diag([radial / ((1.0 - s.r) * (1.0 + s.r)), ang, ang * st * st]),
+        "spherical",
+    )
 
 
 def helstrom_spherical(s: BlochSpherical) -> InfoMatrix:
     """H_q in the x-polar chart: diag(1/(1-r^2), r^2, r^2 sin^2 theta)."""
     if s.r >= 1.0:
         raise PureStateError("the Helstrom matrix blows up at pure states (r >= 1)")
-    r2 = s.r * s.r
-    st = math.sin(s.theta)
-    return InfoMatrix(
-        np.diag([1.0 / ((1.0 - s.r) * (1.0 + s.r)), r2, r2 * st * st]),
-        "spherical",
-    )
+    return _spherical_diag(s)
 
 
 def helstrom_inverse(c: BlochCartesian) -> InfoMatrix:
@@ -228,13 +256,6 @@ def helstrom_inverse(c: BlochCartesian) -> InfoMatrix:
         [-x * y, 1.0 - y * y, -y * z],
         [-x * z, -y * z, 1.0 - z * z],
     ]), "cartesian")
-
-
-def helstrom_batch(xyz: np.ndarray) -> np.ndarray:
-    """H_q at a batch of interior points, shape (..., 3) -> (..., 3, 3)."""
-    x, y, z = np.moveaxis(np.asarray(xyz, dtype=float), -1, 0)
-    return np.stack([np.stack(row, axis=-1) for row in helstrom_entries(x, y, z)],
-                    axis=-2)
 
 
 # ---------------------------------------------------------------------------
@@ -275,32 +296,46 @@ def as_metric_kind(kind) -> MetricKind:
                          f"expected one of {sorted(_NAMED_KINDS)}") from None
 
 
-def g_function(kind, s: float) -> float:
+def g_function(kind, s):
     """Evaluate the radial profile g(s) of ``kind`` at s in (0, 1].
 
-    The fitted kinds are stated per copy (the N=2 analogue on that scale is
-    1/(1+s) = g_helstrom/2); the named metrics are on the metric scale.
+    Accepts a float (returns a float) or an array.  The fitted kinds are
+    stated per copy (the N=2 analogue on that scale is 1/(1+s) =
+    g_helstrom/2); the named metrics are on the metric scale.
     """
-    if not 0.0 < s <= 1.0:
+    s = np.asarray(s, dtype=float)
+    if not np.all((0.0 < s) & (s <= 1.0)):
         raise ValueError(f"g(s) is defined on (0, 1], got s = {s}")
     kind = as_metric_kind(kind)
     if kind.name == "helstrom":
-        return 2.0 / (1.0 + s)
-    if kind.name == "yuen_lax":
-        return (1.0 + s) / (2.0 * s)
-    if kind.name == "quasi_bures":
+        g = 2.0 / (1.0 + s)
+    elif kind.name == "yuen_lax":
+        g = (1.0 + s) / (2.0 * s)
+    elif kind.name == "quasi_bures":
         # e * s^(s/(1-s)); continuous limit 1 at s = 1
-        if s == 1.0:
-            return 1.0
-        return math.exp(1.0 + s * math.log(s) / (1.0 - s))
-    if kind.name == "fitted_n4":
-        return (6.0 + 17.0 * s + 6.0 * s * s) / (6.0 * (1.0 + s) ** 3)
-    if kind.name == "fitted_n6":
-        return ((45.0 + 222.0 * s + 416.0 * s * s + 222.0 * s ** 3 + 45.0 * s ** 4)
-                / (45.0 * (1.0 + s) ** 5))
-    if kind.g is None:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = np.where(s == 1.0, 1.0, np.exp(1.0 + s * np.log(s) / (1.0 - s)))
+    elif kind.name == "fitted_n4":
+        g = (6.0 + 17.0 * s + 6.0 * s * s) / (6.0 * (1.0 + s) ** 3)
+    elif kind.name == "fitted_n6":
+        g = ((45.0 + 222.0 * s + 416.0 * s * s + 222.0 * s ** 3 + 45.0 * s ** 4)
+             / (45.0 * (1.0 + s) ** 5))
+    elif kind.g is None:
         raise ValueError(f"metric kind {kind.name!r} has no profile attached")
-    return kind.g(s)
+    else:
+        g = kind.g(s)
+    return float(g) if np.ndim(g) == 0 else g
+
+
+def _angular_scale(kind, r):
+    """a(r) = g(s)/(1+r), s = (1-r)/(1+r): the metric's angular entries are r^2 a.
+
+    Exactly 1 for the Helstrom kind, where g(s) = 2/(1+s) = 1+r.
+    """
+    kind = as_metric_kind(kind)
+    if kind.name == "helstrom":
+        return 1.0
+    return g_function(kind, (1.0 - r) / (1.0 + r)) / (1.0 + r)
 
 
 def monotone_metric(kind, s_pt: BlochSpherical) -> InfoMatrix:
@@ -317,15 +352,7 @@ def monotone_metric(kind, s_pt: BlochSpherical) -> InfoMatrix:
     if s_pt.is_degenerate:
         raise DegenerateCoordinatesError(
             f"metric tensor undefined at degenerate point (r={s_pt.r}, theta={s_pt.theta})")
-    r = s_pt.r
-    s = (1.0 - r) / (1.0 + r)
-    g = g_function(kind, s)
-    ang = r * r * g / (1.0 + r)
-    st = math.sin(s_pt.theta)
-    return InfoMatrix(
-        np.diag([1.0 / ((1.0 - r) * (1.0 + r)), ang, ang * st * st]),
-        "spherical",
-    )
+    return _spherical_diag(s_pt, angular=_angular_scale(kind, s_pt.r))
 
 
 # ---------------------------------------------------------------------------
@@ -370,17 +397,3 @@ def pure_helstrom_m3(theta: float, phi: float) -> InfoMatrix:
     m[3, 3] = b
     m[2, 3] = m[3, 2] = off
     return InfoMatrix(m, "pure-m3")
-
-
-def cr_oprom_feasibility(n_copies: int) -> bool:
-    """Whether N copies leave room for a POVM with quadrinomial outcomes.
-
-    The quadrinomial distribution carries Fisher information 4*H_q, while
-    additivity caps any measurement on N copies at N*H_q.  For N < 4 the cap
-    is exceeded, so no such POVM can exist; for N >= 4 the Cramer-Rao
-    theorem no longer rules it out (True means "not ruled out", not
-    "constructed" -- existence for N >= 4 is open).
-    """
-    if n_copies < 1:
-        raise ValueError("n_copies must be positive")
-    return n_copies >= 4

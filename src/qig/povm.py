@@ -14,6 +14,12 @@ as N grows.  For N = 7 no matrix is available -- only the Gill-Massar trace
 polynomial and the limiting entries -- so requesting the matrix raises
 :class:`UnsupportedNError`.
 
+The closed forms are array kernels: :func:`closed_form_batch` and
+:func:`residual_batch` map points of shape (..., 3) to (..., 3, 3), and
+:func:`gm_trace_reference` takes radii of any shape.  The point-wise
+functions validate a single state, call the kernel and wrap the result in
+an ``InfoMatrix``.
+
 Entry completion for N = 5: the source display gives the (1,1) and (1,2)
 cells of the residual and says the rest follow by symmetry.  The family is
 invariant under permutations of (x, y, z) with outcome relabelling, so
@@ -28,7 +34,6 @@ the residual eigenvalue -(3/16)(5 + 3 r^2), and matrix symmetry.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,12 +45,10 @@ from .bloch import (
     InfoMatrix,
     PureStateError,
 )
-from .infogeo import ProbModel
+from .infogeo import ProbModel, _spherical_diag, _sym3
 
 __all__ = [
     "UnsupportedNError",
-    "FisherFamily",
-    "fisher_family",
     "vidal_model",
     "vidal_probabilities",
     "fisher_closed_form",
@@ -55,7 +58,6 @@ __all__ = [
     "gm_trace_reference",
     "fully_mixed_entry11",
     "fully_mixed_entry11_limit",
-    "pure_limit_entries",
     "SUPPORTED_MODELS",
     "SUPPORTED_MATRICES",
     "SUPPORTED_TRACES",
@@ -74,29 +76,6 @@ SUPPORTED_TRACES = (2, 3, 4, 5, 6, 7)
 
 class UnsupportedNError(ValueError):
     """No closed-form Fisher matrix exists for this copy count."""
-
-
-@dataclass(frozen=True)
-class FisherFamily:
-    """What this package can provide for a given copy count."""
-
-    n_copies: int
-    has_probability_model: bool    # explicit outcome distribution (N = 2, 3)
-    has_closed_form_matrix: bool   # Fisher matrix in closed form (N = 2..6)
-    reference_trace_only: bool     # only trace polynomial and limits (N = 7)
-
-
-def fisher_family(n_copies: int) -> FisherFamily:
-    """Availability record for N in 2..7."""
-    if n_copies not in SUPPORTED_TRACES:
-        raise UnsupportedNError(f"supported copy counts are {SUPPORTED_TRACES}, "
-                                f"got {n_copies}")
-    return FisherFamily(
-        n_copies=n_copies,
-        has_probability_model=n_copies in SUPPORTED_MODELS,
-        has_closed_form_matrix=n_copies in SUPPORTED_MATRICES,
-        reference_trace_only=n_copies not in SUPPORTED_MATRICES,
-    )
 
 
 def _vidal2_terms(x, y, z):
@@ -150,17 +129,6 @@ def vidal_probabilities(n_copies: int, c: BlochCartesian) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Residual matrices R_N = F_N - (N-1) H_q
 # ---------------------------------------------------------------------------
-
-def _sym3(d, o):
-    """Assemble [[d0, o0, o1], [o0, d1, o2], [o1, o2, d2]] stacked on the last axes."""
-    d0, d1, d2 = d
-    o01, o02, o12 = o
-    return np.stack([
-        np.stack([d0, o01, o02], axis=-1),
-        np.stack([o01, d1, o12], axis=-1),
-        np.stack([o02, o12, d2], axis=-1),
-    ], axis=-2)
-
 
 def _residual3(x, y, z):
     r2 = x * x + y * y + z * z
@@ -273,6 +241,24 @@ def fisher_closed_form(n_copies: int, c: BlochCartesian) -> InfoMatrix:
     return InfoMatrix(closed_form_batch(n_copies, c.as_array()), "cartesian")
 
 
+def _even_profile(n_copies: int, r2):
+    """(b, a) with F_N = diag(b/(1-r^2), r^2 a, r^2 a sin^2 theta) in the x-polar chart.
+
+    The even-N closed forms are rotationally invariant, so two radial
+    profiles in r^2 carry the whole matrix; N = 2 is H_q itself.
+    """
+    if n_copies == 2:
+        return 1.0, 1.0
+    if n_copies == 4:
+        return (29.0 + 7.0 * r2) / 12.0, (29.0 - 5.0 * r2) / 12.0
+    if n_copies == 6:
+        r4 = r2 * r2
+        return ((475.0 + 172.0 * r2 - 47.0 * r4) / 120.0,
+                (475.0 - 146.0 * r2 + 31.0 * r4) / 120.0)
+    raise UnsupportedNError(
+        f"diagonal spherical forms exist for N in (2, 4, 6), got {n_copies}")
+
+
 def fisher_spherical_diag(n_copies: int, s: BlochSpherical) -> InfoMatrix:
     """Diagonal spherical form of F_N for even N = 2, 4, 6.
 
@@ -281,54 +267,42 @@ def fisher_spherical_diag(n_copies: int, s: BlochSpherical) -> InfoMatrix:
         N=4:  diag((29+7r^2)/(1-r^2), r^2(29-5r^2), ...sin^2 theta) / 12
         N=6:  diag((475+172r^2-47r^4)/(1-r^2), r^2(475-146r^2+31r^4), ...) / 120
     """
-    if n_copies == 2:
-        if s.is_degenerate:
-            raise DegenerateCoordinatesError("spherical form needs r > 0, theta in (0, pi)")
-        return infogeo.helstrom_spherical(s)
-    if n_copies not in (4, 6):
-        raise UnsupportedNError(
-            f"diagonal spherical forms exist for N in (2, 4, 6), got {n_copies}")
+    radial, angular = _even_profile(n_copies, s.r * s.r)
     if s.r >= 1.0:
         raise PureStateError("closed-form Fisher matrices diverge at r = 1")
     if s.is_degenerate:
         raise DegenerateCoordinatesError("spherical form needs r > 0, theta in (0, pi)")
-    r2 = s.r * s.r
-    one_minus = (1.0 - s.r) * (1.0 + s.r)
-    st2 = math.sin(s.theta) ** 2
-    if n_copies == 4:
-        radial = (29.0 + 7.0 * r2) / one_minus / 12.0
-        angular = r2 * (29.0 - 5.0 * r2) / 12.0
-    else:
-        radial = (475.0 + 172.0 * r2 - 47.0 * r2 * r2) / one_minus / 120.0
-        angular = r2 * (475.0 - 146.0 * r2 + 31.0 * r2 * r2) / 120.0
-    return InfoMatrix(np.diag([radial, angular, angular * st2]), "spherical")
+    return _spherical_diag(s, radial, angular)
 
 
 # ---------------------------------------------------------------------------
 # Reference polynomials and limits
 # ---------------------------------------------------------------------------
 
-def gm_trace_reference(n_copies: int, r: float) -> float:
+def gm_trace_reference(n_copies: int, r):
     """Gill-Massar trace trace(H_q^{-1} F_N) as a polynomial in r, N in 2..7.
 
-    All six equal 2N - 1 at r = 1; for separable measurements the trace
-    cannot exceed N, so every value above N certifies a non-separable gain.
+    Accepts a float (returns a float) or an array of radii.  All six equal
+    2N - 1 at r = 1; for separable measurements the trace cannot exceed N,
+    so every value above N certifies a non-separable gain.
     """
-    r2 = r * r
+    r2 = np.asarray(r, dtype=float) ** 2
     if n_copies == 2:
-        return 3.0
-    if n_copies == 3:
-        return 5.0
-    if n_copies == 4:
-        return (29.0 - r2) / 4.0
-    if n_copies == 5:
-        return (19.0 - r2) / 2.0
-    if n_copies == 6:
-        return (95.0 - 8.0 * r2 + r2 * r2) / 8.0
-    if n_copies == 7:
-        return (57.0 - 6.0 * r2 + r2 * r2) / 4.0
-    raise UnsupportedNError(
-        f"Gill-Massar reference traces exist for N in {SUPPORTED_TRACES}, got {n_copies}")
+        t = np.full(r2.shape, 3.0)
+    elif n_copies == 3:
+        t = np.full(r2.shape, 5.0)
+    elif n_copies == 4:
+        t = (29.0 - r2) / 4.0
+    elif n_copies == 5:
+        t = (19.0 - r2) / 2.0
+    elif n_copies == 6:
+        t = (95.0 - 8.0 * r2 + r2 * r2) / 8.0
+    elif n_copies == 7:
+        t = (57.0 - 6.0 * r2 + r2 * r2) / 4.0
+    else:
+        raise UnsupportedNError(
+            f"Gill-Massar reference traces exist for N in {SUPPORTED_TRACES}, got {n_copies}")
+    return float(t) if t.ndim == 0 else t
 
 
 def fully_mixed_entry11(n_copies: int, theta: float, phi: float) -> float:
@@ -380,17 +354,3 @@ def fully_mixed_entry11_limit(n_copies: int, theta: float, phi: float) -> float:
     st = math.sin(theta)
     e_r = np.array([math.cos(theta), st * math.cos(phi), st * math.sin(phi)])
     return float(e_r @ f0 @ e_r)
-
-
-def pure_limit_entries(n_copies: int) -> dict:
-    """Pure-state (r -> 1) limits of the spherical Fisher matrix of F_N.
-
-    The (2,2) entry tends to N/2, the (3,3) entry to (N/2) sin^2(theta), and
-    the off-diagonal entries (nonzero at r < 1 for odd N) tend to zero.
-    """
-    if n_copies not in SUPPORTED_TRACES:
-        raise UnsupportedNError(
-            f"pure limits are recorded for N in {SUPPORTED_TRACES}, got {n_copies}")
-    return {"entry22": n_copies / 2.0,
-            "entry33_coeff": n_copies / 2.0,
-            "offdiag": 0.0}

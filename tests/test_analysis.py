@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qig import analysis, bloch, infogeo, povm
 from qig.analysis import (
@@ -27,6 +29,9 @@ from qig.analysis import (
     write_curves_csv,
 )
 from qig.bloch import BlochCartesian, BlochSpherical, PureStateError
+
+
+KINDS = ("helstrom", "yuen_lax", "quasi_bures", "fitted_n4", "fitted_n6")
 
 
 def interior_points(n=30, seed=9):
@@ -78,6 +83,41 @@ class TestGmTrace:
             for n in (2, 3, 4, 5, 6):
                 assert gm_trace("helstrom", n, c) > n
 
+    @given(st.floats(0.05, 0.95), st.floats(0.05, math.pi - 0.05),
+           st.floats(0.0, 6.28))
+    @settings(max_examples=60, deadline=None)
+    def test_chart_free_trace_equals_congruence_reference(self, r, theta, phi):
+        # sum of diag(J^T F J) / diag(G) in the x-polar chart, off its seams
+        s = BlochSpherical(r, theta, phi)
+        c = bloch.to_cartesian(s)
+        for kind in KINDS:
+            g = np.diag(infogeo.monotone_metric(kind, s).entries)
+            for n in (2, 3, 4, 5, 6):
+                f = bloch.congruence_to_spherical(povm.fisher_closed_form(n, c), s).entries
+                assert gm_trace(kind, n, c) == pytest.approx(np.sum(np.diag(f) / g), rel=1e-12)
+
+    @given(st.floats(0.01, 0.99))
+    @settings(max_examples=40, deadline=None)
+    def test_even_n_trace_on_polar_axis_matches_off_axis(self, r):
+        axis = BlochCartesian(r, 0.0, 0.0)
+        off = bloch.to_cartesian(BlochSpherical(r, 1.1, 0.7))
+        for kind in KINDS:
+            for n in (2, 4, 6):
+                assert gm_trace(kind, n, axis) == pytest.approx(gm_trace(kind, n, off), rel=1e-12)
+
+    @given(st.lists(st.tuples(st.floats(0.05, 0.95), st.floats(0.0, math.pi),
+                              st.floats(0.0, 6.28)), min_size=1, max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_batch_kernel_equals_scalar_wrapper(self, sph):
+        cs = [bloch.to_cartesian(BlochSpherical(*t)) for t in sph]
+        xyz = np.array([c.as_array() for c in cs])
+        # numpy's scalar and array power loops may round differently in the last place
+        for kind in KINDS:
+            for n in (2, 3, 4, 5, 6):
+                got = analysis._gm_trace_batch(kind, n, xyz)
+                want = [gm_trace(kind, n, c) for c in cs]
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
 
 class TestModifiedTraces:
     def test_closed_form_values(self):
@@ -97,6 +137,14 @@ class TestModifiedTraces:
                 got = gm_trace("yuen_lax", n, c)
                 want = modified_trace_reference("yuen_lax", n, c.r, theta=theta_diag)
                 assert got == pytest.approx(want, rel=1e-10)
+
+    def test_array_input_equals_float_input(self):
+        grid = np.linspace(0.0, 1.0, 51)
+        for n in (2, 4, 5, 6):
+            floats = [modified_trace_reference("yuen_lax", n, r, theta=0.9) for r in grid]
+            assert all(type(t) is float for t in floats)
+            np.testing.assert_allclose(modified_trace_reference("yuen_lax", n, grid, theta=0.9),
+                                       floats, rtol=1e-14, atol=0.0)
 
     def test_only_yuen_lax_supported(self):
         with pytest.raises(ValueError):
@@ -233,6 +281,21 @@ class TestVolumeIntegrals:
         with pytest.raises(povm.UnsupportedNError):
             volume_integral(7)
 
+    def test_negative_determinant_beyond_roundoff_raises(self, monkeypatch):
+        def not_psd(n, xyz):
+            return np.broadcast_to(np.diag([1.0, 1.0, -1e-6]), xyz.shape + (3,))
+
+        monkeypatch.setattr(povm, "closed_form_batch", not_psd)
+        with pytest.raises(RuntimeError, match="not PSD"):
+            volume_integral(3)
+
+    def test_roundoff_negative_determinant_counts_as_zero(self, monkeypatch):
+        def roundoff(n, xyz):
+            return np.broadcast_to(np.diag([1.0, 1.0, -1e-14]), xyz.shape + (3,))
+
+        monkeypatch.setattr(povm, "closed_form_batch", roundoff)
+        assert volume_integral(3) == 0.0
+
 
 class TestIntersection:
     def test_crossing_radius(self):
@@ -294,6 +357,26 @@ class TestCurves:
     def test_unknown_quantity(self):
         with pytest.raises(ValueError):
             curve_sample("nonsense")
+
+    def test_array_curves_equal_scalar_wrappers(self):
+        grid = np.linspace(0.01, 0.99, 25)
+        points = [BlochSpherical(r, analysis.THETA0, analysis.PHI0) for r in grid]
+        qb = curve_sample("qb_scaled", (2, 4, 6), grid)
+        e11 = curve_sample("entry11_over_N", (2, 4, 6), grid)
+        for n, t_qb, t_e11 in zip((2, 4, 6), qb, e11):
+            want_qb = [gm_trace("quasi_bures", n, bloch.to_cartesian(p)) / t_qb.scaling
+                       for p in points]
+            want_e11 = [povm.fisher_spherical_diag(n, p).entries[0, 0] / n for p in points]
+            np.testing.assert_allclose(t_qb.value, want_qb, rtol=1e-13, atol=0.0)
+            np.testing.assert_allclose(t_e11.value, want_e11, rtol=1e-13, atol=0.0)
+
+    def test_curves_refuse_radii_outside_the_open_ball(self):
+        with pytest.raises(ValueError):
+            curve_sample("qb_scaled", (2,), np.array([0.0, 0.5]))
+        with pytest.raises(PureStateError):
+            curve_sample("qb_scaled", (2,), np.array([0.5, 1.0]))
+        with pytest.raises(PureStateError):
+            curve_sample("entry11_over_N", (4,), np.array([0.5, 1.0]))
 
 
 class TestCurveTable:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qig import bloch, infogeo, povm
 from qig.bloch import BlochCartesian, BlochSpherical, PureStateError
@@ -14,10 +16,13 @@ from qig.povm import (
     fully_mixed_entry11,
     fully_mixed_entry11_limit,
     gm_trace_reference,
-    pure_limit_entries,
     vidal_model,
     vidal_probabilities,
 )
+
+
+ball_batches = st.lists(st.tuples(st.floats(-0.57, 0.57), st.floats(-0.57, 0.57),
+                                  st.floats(-0.57, 0.57)), min_size=1, max_size=6)
 
 
 def interior_points(n=50, seed=5):
@@ -121,6 +126,26 @@ class TestClosedForms:
         with pytest.raises(PureStateError):
             fisher_closed_form(4, BlochCartesian(1.0, 0.0, 0.0))
 
+    @given(ball_batches)
+    @settings(max_examples=100, deadline=None)
+    def test_batch_equals_scalar_wrapper(self, pts):
+        # numpy's scalar and array power loops may round differently in the last
+        # place of each term, so compare on the scale of the largest entry
+        for n in (2, 3, 4, 5, 6):
+            want = np.array([fisher_closed_form(n, BlochCartesian(*v)).entries for v in pts])
+            gap = np.abs(povm.closed_form_batch(n, np.array(pts)) - want)
+            assert np.all(gap <= 1e-14 * np.max(np.abs(want), axis=(1, 2))[:, None, None])
+
+    @given(ball_batches)
+    @settings(max_examples=100, deadline=None)
+    def test_fisher_below_n_minus_one_helstrom(self, pts):
+        # F_N <= (N-1) H_q because the residual is negative semidefinite
+        h = infogeo.helstrom_batch(np.array(pts))
+        for n in (3, 4, 5, 6):
+            f = povm.closed_form_batch(n, np.array(pts))
+            top = np.linalg.eigvalsh(f - (n - 1) * h)[:, -1]
+            assert np.all(top <= 1e-12 * np.max(np.abs(f), axis=(1, 2)))
+
     def test_seven_copies_is_reference_only(self):
         with pytest.raises(UnsupportedNError):
             fisher_closed_form(7, BlochCartesian(0.1, 0.1, 0.1))
@@ -172,6 +197,13 @@ class TestGmTraceReference:
         with pytest.raises(UnsupportedNError):
             gm_trace_reference(8, 0.5)
 
+    def test_array_input_equals_float_input(self):
+        grid = np.linspace(0.0, 1.0, 101)
+        for n in range(2, 8):
+            floats = [gm_trace_reference(n, r) for r in grid]
+            assert all(type(t) is float for t in floats)
+            assert np.array_equal(gm_trace_reference(n, grid), floats)
+
 
 class TestFullyMixedEntry:
     def test_tabulated_values(self):
@@ -220,10 +252,13 @@ class TestFullyMixedEntry:
 
 
 class TestPureLimits:
-    def test_reference_entries(self):
-        assert pure_limit_entries(4) == {"entry22": 2.0, "entry33_coeff": 2.0, "offdiag": 0.0}
-        assert pure_limit_entries(2)["entry22"] == 1.0
-        assert pure_limit_entries(5)["entry22"] == 2.5
+    def test_angular_entry_over_r2_tends_to_half_n(self):
+        for n in (2, 3, 4, 5, 6):
+            for h in (1e-2, 1e-3, 1e-4, 1e-5):
+                s = BlochSpherical(1.0 - h, 1.1, 0.7)
+                f = bloch.congruence_to_spherical(
+                    fisher_closed_form(n, bloch.to_cartesian(s)), s).entries
+                assert abs(f[1, 1] / s.r ** 2 - n / 2) <= 2.0 * h, (n, h)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_numeric_limits_of_closed_forms(self, n):
@@ -234,13 +269,3 @@ class TestPureLimits:
         assert f[2, 2] == pytest.approx((n / 2) * math.sin(1.1) ** 2, abs=1e-4)
         assert abs(f[0, 1]) < 1e-4 and abs(f[1, 2]) < 1e-4
 
-
-class TestFisherFamily:
-    def test_availability_records(self):
-        assert povm.fisher_family(2) == povm.FisherFamily(2, True, True, False)
-        assert povm.fisher_family(5) == povm.FisherFamily(5, False, True, False)
-        assert povm.fisher_family(7) == povm.FisherFamily(7, False, False, True)
-
-    def test_out_of_range(self):
-        with pytest.raises(UnsupportedNError):
-            povm.fisher_family(8)
