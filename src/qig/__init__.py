@@ -1,11 +1,16 @@
 """Information geometry of optimal joint measurements on qubit copies.
 
-A numpy/scipy library (plus a ``qig`` command-line tool) for the
+A numpy library (plus a ``qig`` command-line tool) for the
 quantum-information geometry of two-level systems: Helstrom and monotone
 metric tensors over the Bloch ball, Fisher information of the optimal
 non-separable measurements on N = 2..7 copies, Gill-Massar trace bounds,
 volume integrals, Clarke-Barron universal-coding redundancies, and Monte
 Carlo validation of the Cramer-Rao machinery.
+
+Importing the package loads numpy only.  scipy is imported on first use by
+the two functions that need it: :func:`qig.analysis.ball_grid` (the
+``scipy.stats.qmc`` Halton scan grid behind the dominance scans) and
+:func:`qig.analysis.scaled_curve_intersection` (``brentq``).
 
 Conventions used everywhere: states live in the closed unit ball
 (r = 1 pure, r = 0 fully mixed); the spherical chart is x-polar,

@@ -18,16 +18,19 @@ of ball points plus a dense radial line near r = 1, where all known
 dominance violations cluster.  PSD decisions rescale the matrix to unit
 Frobenius norm before applying the eigenvalue tolerance, so near-pure
 points with entries of order 1/(1-r^2) are judged on relative footing.
+
+scipy is imported only by the two functions that need it, :func:`ball_grid`
+(``scipy.stats.qmc``) and :func:`scaled_curve_intersection` (``brentq``),
+so importing this module costs numpy alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.stats import qmc
 
 from . import infogeo, povm
 from .bloch import (
@@ -249,6 +252,8 @@ def ball_grid(region: tuple[float, float] = (0.0, 0.999),
         raise ValueError(f"bad region {region}")
     if hi >= 1.0:
         raise ValueError("scan region must stay strictly inside the ball (hi < 1)")
+    from scipy.stats import qmc
+
     u = qmc.Halton(d=3, scramble=True, seed=GRID_SEED).random(n_points)
     r = np.cbrt(lo ** 3 + u[:, 0] * (hi ** 3 - lo ** 3))
     cos_t = 2.0 * u[:, 1] - 1.0
@@ -358,13 +363,12 @@ def dominance_boundary_radius() -> float:
 
     Root in (0, 1) of 47 r^4 - 172 r^2 + 123.8: rewriting F_6 around
     4.99 H_q shifts the residual eigenvalue numerator's constant 125 to
-    123.8, and that numerator changes sign here (near 0.992348).
+    123.8, and that numerator changes sign here (near 0.992348).  The
+    smaller root of the quadratic in r^2 is taken in the cancellation-free
+    form 2c / (b + sqrt(b^2 - 4ac)).
     """
-    def poly(r):
-        r2 = r * r
-        return 47.0 * r2 * r2 - 172.0 * r2 + 123.8
-
-    return float(brentq(poly, 0.9, 0.9999, xtol=1e-12))
+    a, b, c = 47.0, 172.0, 123.8
+    return math.sqrt(2.0 * c / (b + math.sqrt(b * b - 4.0 * a * c)))
 
 
 # ---------------------------------------------------------------------------
@@ -375,16 +379,26 @@ def dominance_boundary_radius() -> float:
 class QuadratureSpec:
     """Gauss-Legendre tensor-product settings for the ball integrals.
 
-    ``order`` is the node count per axis; convergence is declared when the
-    result at order and at ceil(1.5 * order) agree to ``rtol`` relative.
+    ``order`` is the node count per axis, from MIN_ORDER to MAX_ORDER;
+    convergence is declared when the result at order and at
+    ceil(1.5 * order) agree to ``rtol`` relative.  The cap bounds memory:
+    the odd-N fine grid holds ceil(1.5 * order)^3 nodes with a 3x3 matrix
+    each.  ``qig volume --n 3`` peaks at 133 MB of RSS at order 48 and
+    271 MB at order 64, which extrapolates to about 0.85 GB at order 96.
     """
+
+    MIN_ORDER: ClassVar[int] = 48
+    MAX_ORDER: ClassVar[int] = 96
 
     order: int = 48
     rtol: float = 1e-6
 
     def __post_init__(self):
-        if self.order < 48:
+        if self.order < self.MIN_ORDER:
             raise ValueError("quadrature order below the default 48 is not allowed")
+        if self.order > self.MAX_ORDER:
+            raise ValueError(f"quadrature order above {self.MAX_ORDER} is not allowed: "
+                             f"the odd-N grid would need ceil(1.5 * order)^3 nodes")
 
 
 #: odd-N determinants at or above -_DET_ROUNDOFF * max|F|^3 count as zero
@@ -465,6 +479,8 @@ def scaled_curve_intersection() -> float:
     lo, hi = 0.05, 0.95
     if diff(lo) * diff(hi) >= 0:
         raise RuntimeError("no sign change on (0.05, 0.95); cannot bracket the crossing")
+    from scipy.optimize import brentq
+
     return float(brentq(diff, lo, hi, xtol=1e-10))
 
 

@@ -66,14 +66,27 @@ def _parse_point(text) -> bloch.BlochCartesian:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _at_least(lo: int):
-    """argparse type: an integer no smaller than ``lo``."""
+def _at_least(lo: int, hi: int | None = None):
+    """argparse type: an integer no smaller than ``lo`` (and no larger than ``hi``)."""
     def integer(text):  # argparse names the function in "invalid integer value"
         value = int(text)
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be <= {hi}, got {value}")
         return value
     return integer
+
+
+def _finite(text):
+    """argparse type: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+_finite.__name__ = "float"  # argparse names the type in "invalid float value"
 
 
 def _matrix_payload(m: bloch.InfoMatrix) -> dict:
@@ -234,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dominance", help="scan c*H_q - F_N >= 0 over a radial region")
     p.add_argument("--n", type=int, choices=(3, 4, 5, 6), required=True)
     p.add_argument("--rmax", type=float, default=0.999)
-    p.add_argument("--scalar", type=float,
+    p.add_argument("--scalar", type=_finite,
                    help="scalar c to test (default: smallest dominating c)")
     p.set_defaults(fn=cmd_dominance)
 
@@ -244,7 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("volume", help="integral of sqrt(det F_N) over the ball")
     p.add_argument("--n", type=int, choices=(2, 3, 4, 5, 6), required=True)
-    p.add_argument("--order", type=int, default=48, help="quadrature order (>= 48)")
+    spec = analysis.QuadratureSpec
+    p.add_argument("--order", type=_at_least(spec.MIN_ORDER, spec.MAX_ORDER), default=48,
+                   help=f"quadrature order ({spec.MIN_ORDER}..{spec.MAX_ORDER})")
     p.set_defaults(fn=cmd_volume)
 
     p = sub.add_parser("curves", help="figure data as CSV (r,value,label)")
@@ -273,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", type=_parse_point, required=True, metavar="X,Y,Z")
     p.add_argument("--M", type=int, required=True, help="outcomes per repetition")
     p.add_argument("--R", type=int, required=True, help="repetitions")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_at_least(0), required=True)
     p.set_defaults(fn=cmd_mc)
 
     p = sub.add_parser("verify-all", help="run the acceptance checks and print a ledger")

@@ -33,10 +33,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_legendre
+from numpy.polynomial.legendre import leggauss
 
 from .bloch import BlochSpherical
 
@@ -140,9 +141,22 @@ def prior_value(kind, s_pt: BlochSpherical) -> float:
     return w * s_pt.r ** 2 * math.sin(s_pt.theta)
 
 
+@lru_cache(maxsize=16)
+def _legendre(order: int):
+    """Read-only Gauss-Legendre nodes and weights of the given order on [-1, 1].
+
+    Cached because ``leggauss`` solves an order x order eigenproblem and the
+    volume integrals ask for the same orders once per axis.
+    """
+    x, w = leggauss(order)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _gl_nodes(order: int, lo: float, hi: float):
     """Gauss-Legendre nodes and weights of the given order on [lo, hi]."""
-    x, w = roots_legendre(order)
+    x, w = _legendre(order)
     half = 0.5 * (hi - lo)
     return lo + half * (x + 1.0), half * w
 

@@ -250,6 +250,11 @@ class TestBoundaryRadius:
         r = dominance_boundary_radius()
         assert 47 * r ** 4 - 172 * r ** 2 + 123.8 == pytest.approx(0.0, abs=1e-9)
 
+    def test_matches_the_exact_root(self):
+        r = dominance_boundary_radius()
+        assert abs(r - 0.9923484362149676) <= 2 * np.spacing(0.9923484362149676)
+        assert abs(47 * r ** 4 - 172 * r ** 2 + 123.8) <= 1e-12
+
     def test_dominance_fails_just_above_root(self):
         r = dominance_boundary_radius() + 1e-3
         c = bloch.to_cartesian(BlochSpherical(r, 1.1, 0.7))
@@ -269,6 +274,11 @@ class TestVolumeIntegrals:
     def test_order_below_default_rejected(self):
         with pytest.raises(ValueError):
             QuadratureSpec(order=10)
+
+    def test_order_above_cap_rejected(self):
+        assert QuadratureSpec(order=QuadratureSpec.MAX_ORDER).order == 96
+        with pytest.raises(ValueError, match="above 96"):
+            QuadratureSpec(order=97)
 
     def test_convergence_check(self):
         v1 = volume_integral(4, QuadratureSpec(order=48))

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from qig import acceptance, coding
-from qig.cli import main
+from qig.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -38,6 +42,14 @@ class TestScalarCommands:
         code, out = run_cli(capsys, "volume", "--n", "2")
         assert code == 0
         assert json.loads(out) == pytest.approx(math.pi ** 2, rel=1e-6)
+
+    @pytest.mark.parametrize("order", ["47", "97", "100000000"])
+    def test_volume_order_outside_range_is_usage_error(self, capsys, order):
+        # parse only: an order above the cap must never reach the integral
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(["volume", "--n", "3", "--order", order])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.count("error:") == 1
 
 
 class TestMatrixCommands:
@@ -81,6 +93,13 @@ class TestDominanceCommand:
         assert code == 0
         assert payload["scalar_bound"] <= 3.0 + 1e-3
         assert payload["violations"] == []
+
+    @pytest.mark.parametrize("scalar", ["nan", "inf"])
+    def test_non_finite_scalar_is_usage_error(self, capsys, scalar):
+        with pytest.raises(SystemExit) as err:
+            main(["dominance", "--n", "4", "--scalar", scalar])
+        assert err.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
 
 
 class TestCurvesCommand:
@@ -156,6 +175,13 @@ class TestMonteCarloCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
+    def test_negative_seed_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["mc", "--n", "2", "--truth", "0.3,0.2,0.1",
+                  "--M", "100", "--R", "3", "--seed", "-1"])
+        assert err.value.code == 2
+        assert "--seed: must be >= 0" in capsys.readouterr().err
+
 
 class TestVerifyAll:
     def test_subset_passes(self, capsys):
@@ -194,7 +220,7 @@ class TestOutputHandling:
         assert out.strip() == "0.992"
 
     def test_runtime_error_exits_one(self, capsys):
-        code = main(["volume", "--n", "3", "--order", "10"])
+        code = main(["dominance", "--n", "6", "--rmax", "1.5"])
         assert code == 1
 
     def test_precision_below_one_is_usage_error(self):
@@ -217,3 +243,45 @@ class TestOutputHandling:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+_SCIPY_FREE_COMMANDS = [
+    ["helstrom", "--point", "0.3,0.2,0.1"],
+    ["fisher", "--n", "5", "--point", "0.3,0.2,0.1"],
+    ["gm-trace", "--metric", "quasi-bures", "--n", "4", "--r", "0.5"],
+    ["bound-radius"],
+    ["coding", "--prior", "quasi-bures", "--N", "100"],
+    ["normalize", "--prior", "quasi-bures"],
+    ["verify-all", "--ids", "1", "3"],
+]
+
+_IMPORT_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+from qig.cli import main
+
+def run(argv):
+    with redirect_stdout(io.StringIO()):
+        return main(argv)
+
+codes = [run(argv) for argv in json.loads(sys.argv[1])]
+scipy = sorted(name for name in sys.modules if name.startswith("scipy"))
+dominance = run(["dominance", "--n", "4"])
+print(json.dumps({"codes": codes, "scipy": scipy, "dominance": dominance}))
+"""
+
+
+class TestImportBoundary:
+    def test_cheap_commands_never_import_scipy(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
+                                   if env.get("PYTHONPATH") else "")
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE, json.dumps(_SCIPY_FREE_COMMANDS)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.splitlines()[-1])
+        assert result["codes"] == [0] * len(_SCIPY_FREE_COMMANDS)
+        assert result["scipy"] == []
+        assert result["dominance"] == 0  # the command that imports qmc lazily

@@ -21,6 +21,11 @@ from qig.povm import (
 )
 
 
+#: points across the closed ball: a direction and a radius in [0, 1]
+closed_ball_points = st.builds(
+    lambda r, theta, phi: bloch.to_cartesian(BlochSpherical(r, theta, phi)),
+    st.floats(0.0, 1.0), st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi, exclude_max=True))
+
 ball_batches = st.lists(st.tuples(st.floats(-0.57, 0.57), st.floats(-0.57, 0.57),
                                   st.floats(-0.57, 0.57)), min_size=1, max_size=6)
 
@@ -64,6 +69,21 @@ class TestVidalProbabilities:
     def test_unsupported_copy_count(self):
         with pytest.raises(UnsupportedNError):
             vidal_model(4)
+
+
+class TestModelProperties:
+    """Every measurement model is a probability distribution over the closed ball."""
+
+    @pytest.mark.parametrize("model", [povm.vidal_model(2), povm.vidal_model(3),
+                                       infogeo.quadrinomial_model()],
+                             ids=lambda m: m.name)
+    @settings(max_examples=200, deadline=None)
+    @given(c=closed_ball_points)
+    def test_probabilities_and_gradient_columns(self, model, c):
+        p = model.eval(c)
+        assert np.all(p >= -1e-12)
+        assert abs(p.sum() - 1.0) <= 1e-12
+        assert np.all(np.abs(model.grad(c).sum(axis=0)) <= 1e-12)
 
 
 class TestClosedForms:
