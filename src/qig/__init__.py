@@ -7,11 +7,6 @@ non-separable measurements on N = 2..7 copies, Gill-Massar trace bounds,
 volume integrals, Clarke-Barron universal-coding redundancies, and Monte
 Carlo validation of the Cramer-Rao machinery.
 
-Importing the package loads numpy only.  scipy is imported on first use by
-the two functions that need it: :func:`qig.analysis.ball_grid` (the
-``scipy.stats.qmc`` Halton scan grid behind the dominance scans) and
-:func:`qig.analysis.scaled_curve_intersection` (``brentq``).
-
 Conventions used everywhere: states live in the closed unit ball
 (r = 1 pure, r = 0 fully mixed); the spherical chart is x-polar,
 x = r cos(theta), y = r sin(theta) cos(phi), z = r sin(theta) sin(phi).

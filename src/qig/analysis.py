@@ -18,10 +18,6 @@ of ball points plus a dense radial line near r = 1, where all known
 dominance violations cluster.  PSD decisions rescale the matrix to unit
 Frobenius norm before applying the eigenvalue tolerance, so near-pure
 points with entries of order 1/(1-r^2) are judged on relative footing.
-
-scipy is imported only by the two functions that need it, :func:`ball_grid`
-(``scipy.stats.qmc``) and :func:`scaled_curve_intersection` (``brentq``),
-so importing this module costs numpy alone.
 """
 
 from __future__ import annotations
@@ -221,20 +217,44 @@ def trace_limit_reference(metric, n_copies: int, endpoint: str) -> float:
 # Dominance
 # ---------------------------------------------------------------------------
 
-def dominance_check(a: InfoMatrix, b: InfoMatrix) -> float:
-    """Minimum eigenvalue of A - B; A dominates B iff it is >= -tol."""
+def _difference(a: InfoMatrix, b: InfoMatrix) -> np.ndarray:
     if a.coords != b.coords or a.dim != b.dim:
         raise ValueError(f"matrix mismatch: {a.coords}/{a.dim} vs {b.coords}/{b.dim}")
-    return float(np.linalg.eigvalsh(a.entries - b.entries)[0])
+    return a.entries - b.entries
+
+
+def _scaled_min_eigs(d: np.ndarray) -> np.ndarray:
+    """Min eigenvalue of d/||d||_F for each matrix of d, shape (..., n, n); 0 where d = 0."""
+    norms = np.linalg.norm(d, axis=(-2, -1))
+    return np.linalg.eigvalsh(d / np.where(norms == 0.0, 1.0, norms)[..., None, None])[..., 0]
+
+
+def dominance_check(a: InfoMatrix, b: InfoMatrix) -> float:
+    """Minimum eigenvalue of A - B; A dominates B iff it is >= -tol."""
+    return float(np.linalg.eigvalsh(_difference(a, b))[0])
 
 
 def dominates(a: InfoMatrix, b: InfoMatrix, tol: float = PSD_TOL) -> bool:
     """Whether A - B is PSD, judged on the unit-Frobenius-scaled difference."""
-    d = a.entries - b.entries
-    norm = np.linalg.norm(d)
-    if norm == 0.0:
-        return True
-    return bool(np.linalg.eigvalsh(d / norm)[0] >= -tol)
+    return bool(_scaled_min_eigs(_difference(a, b)) >= -tol)
+
+
+def _halton(n: int) -> np.ndarray:
+    """Bit for bit ``scipy.stats.qmc.Halton(d=3, scramble=True, seed=GRID_SEED).random(n)``.
+
+    One digit permutation per base-b digit down to 2^-54, drawn in scipy's
+    order; the scale is divided down, not taken as a power, so rounding matches.
+    """
+    rng = np.random.default_rng(GRID_SEED)
+    u = np.zeros((n, 3))
+    for d, base in enumerate((2, 3, 5)):
+        q = np.arange(n)
+        scale = 1.0 / base
+        for _ in range(math.ceil(54 / math.log2(base)) - 1):
+            u[:, d] += rng.permutation(base)[q % base] * scale
+            q //= base
+            scale /= base
+    return u
 
 
 def ball_grid(region: tuple[float, float] = (0.0, 0.999),
@@ -252,9 +272,7 @@ def ball_grid(region: tuple[float, float] = (0.0, 0.999),
         raise ValueError(f"bad region {region}")
     if hi >= 1.0:
         raise ValueError("scan region must stay strictly inside the ball (hi < 1)")
-    from scipy.stats import qmc
-
-    u = qmc.Halton(d=3, scramble=True, seed=GRID_SEED).random(n_points)
+    u = _halton(n_points)
     r = np.cbrt(lo ** 3 + u[:, 0] * (hi ** 3 - lo ** 3))
     cos_t = 2.0 * u[:, 1] - 1.0
     sin_t = np.sqrt(1.0 - cos_t ** 2)
@@ -266,14 +284,6 @@ def ball_grid(region: tuple[float, float] = (0.0, 0.999),
         lines = [np.outer(radii, d) for d in EDGE_DIRECTIONS]
         pts = np.vstack([pts] + lines)
     return pts
-
-
-def _scaled_min_eigs(scalar: float, h: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Min eigenvalue of (c*H_q - F_N)/||.||_F at each scan point."""
-    d = scalar * h - f
-    norms = np.linalg.norm(d, axis=(-2, -1))
-    norms[norms == 0.0] = 1.0
-    return np.linalg.eigvalsh(d / norms[:, None, None])[:, 0]
 
 
 @dataclass(frozen=True)
@@ -301,8 +311,8 @@ def scan_dominance(n_copies: int, scalar: float,
                    tol: float = PSD_TOL, max_reported: int = 50) -> DominanceReport:
     """Scan whether scalar*H_q dominates F_N over the deterministic grid."""
     pts = ball_grid(region)
-    eigs = _scaled_min_eigs(scalar, infogeo.helstrom_batch(pts),
-                            povm.closed_form_batch(n_copies, pts))
+    eigs = _scaled_min_eigs(scalar * infogeo.helstrom_batch(pts)
+                            - povm.closed_form_batch(n_copies, pts))
     bad = np.flatnonzero(eigs < -tol)
     order = bad[np.argsort(eigs[bad])][:max_reported]
     return DominanceReport(
@@ -315,36 +325,25 @@ def scan_dominance(n_copies: int, scalar: float,
 
 
 def min_dominating_scalar(n_copies: int,
-                          region: tuple[float, float] = (0.0, 0.999),
-                          tol: float = 1e-4,
-                          psd_tol: float = PSD_TOL) -> float:
-    """Smallest c (bisection to ``tol``) with c*H_q - F_N PSD over the scan grid.
+                          region: tuple[float, float] = (0.0, 0.999)) -> float:
+    """Smallest c with c*H_q - F_N PSD over the scan grid.
 
-    The Cramer-Rao bound guarantees c = N works, so bisection starts on
-    [0, N].  Enlarging the region can only raise the result.
+    c*H_q - F_N is PSD iff c bounds every eigenvalue of H_q^{-1} F_N, so c
+    is the largest of those over the grid: the top eigenvalue of S F_N S
+    with S = H_q^{-1/2} = I - v v^T / (1 + sqrt(1 - r^2)).  The Cramer-Rao
+    bound guarantees c <= N.  Enlarging the region can only raise c.
     """
     if n_copies not in (3, 4, 5, 6):
         raise povm.UnsupportedNError(
             f"dominating-scalar search needs a closed-form matrix, N in 3..6, got {n_copies}")
     pts = ball_grid(region)
-    h = infogeo.helstrom_batch(pts)
-    f = povm.closed_form_batch(n_copies, pts)
-
-    def dominated(c):
-        return bool(_scaled_min_eigs(c, h, f).min() >= -psd_tol)
-
-    lo, hi = 0.0, float(n_copies)
-    if not dominated(hi):
-        raise RuntimeError(f"{n_copies}*H_q fails to dominate F_{n_copies}; "
-                           "the Cramer-Rao cap must hold, so the grid or the "
-                           "matrices are inconsistent")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if dominated(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    den = 1.0 + np.sqrt(1.0 - np.sum(pts * pts, axis=-1))
+    s = np.eye(3) - pts[:, :, None] * pts[:, None, :] / den[:, None, None]
+    c = float(np.linalg.eigvalsh(s @ povm.closed_form_batch(n_copies, pts) @ s)[:, -1].max())
+    if c > n_copies:
+        raise RuntimeError(f"{n_copies}*H_q fails to dominate F_{n_copies} (c = {c!r}); "
+                           "the Cramer-Rao cap must hold, so the grid or matrices are wrong")
+    return c
 
 
 def near_origin_diagnostic(n_copies: int, eps: float = 1e-3) -> np.ndarray:
@@ -477,11 +476,16 @@ def scaled_curve_intersection() -> float:
         return gm_trace(QUASI_BURES, 2, c) / s2 - gm_trace(QUASI_BURES, 4, c) / s4
 
     lo, hi = 0.05, 0.95
-    if diff(lo) * diff(hi) >= 0:
+    d_lo = diff(lo)
+    if d_lo * diff(hi) >= 0:
         raise RuntimeError("no sign change on (0.05, 0.95); cannot bracket the crossing")
-    from scipy.optimize import brentq
-
-    return float(brentq(diff, lo, hi, xtol=1e-10))
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if diff(mid) * d_lo > 0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 @dataclass(frozen=True)

@@ -161,7 +161,7 @@ def to_spherical(c: BlochCartesian) -> BlochSpherical:
     r = math.sqrt(c.r2)
     if r < _DEGENERATE_TOL:
         return BlochSpherical(0.0, 0.0, 0.0)
-    theta = math.acos(max(-1.0, min(1.0, c.x / r)))
+    theta = math.atan2(math.hypot(c.y, c.z), c.x)  # acos(x/r) loses digits near the poles
     phi = math.atan2(c.z, c.y)
     if phi < 0.0:
         phi += 2.0 * math.pi

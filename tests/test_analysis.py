@@ -205,6 +205,16 @@ class TestDominance:
             dominance_check(infogeo.pure_helstrom_m2(1.0),
                             infogeo.helstrom_cartesian(BlochCartesian(0, 0, 0)))
 
+    def test_dominates_rejects_mismatched_charts(self):
+        c = BlochCartesian(0.3, 0.2, 0.1)
+        cartesian = infogeo.helstrom_cartesian(c)
+        for other in (infogeo.helstrom_spherical(bloch.to_spherical(c)),
+                      infogeo.pure_helstrom_m2(1.0)):
+            with pytest.raises(ValueError, match="matrix mismatch"):
+                dominates(other, cartesian)
+            with pytest.raises(ValueError, match="matrix mismatch"):
+                dominance_check(other, cartesian)
+
     def test_scan_report_structure(self):
         report = scan_dominance(6, 5.0, (0.0, 0.999))
         assert report.n_violations == 0 and report.violating_points == []
@@ -225,6 +235,27 @@ class TestDominance:
         assert 2.99 < c4 <= 3.0 + 2e-4
         c3 = min_dominating_scalar(3, (0.0, 0.999))
         assert 1.99 < c3 <= 2.0 + 2e-4
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_min_dominating_scalar_is_exact(self, n):
+        c = min_dominating_scalar(n, (0.0, 0.999))
+        pts = analysis.ball_grid((0.0, 0.999))
+        ratio = np.linalg.solve(infogeo.helstrom_batch(pts), povm.closed_form_batch(n, pts))
+        assert c == pytest.approx(np.linalg.eigvals(ratio).real.max(), rel=1e-12)
+        assert scan_dominance(n, c, (0.0, 0.999)).n_violations == 0
+        assert scan_dominance(n, c - 1e-6, (0.0, 0.999)).n_violations > 0
+
+    def test_cramer_rao_guard(self, monkeypatch):
+        monkeypatch.setattr(povm, "closed_form_batch",
+                            lambda n, xyz: 7.0 * infogeo.helstrom_batch(xyz))
+        with pytest.raises(RuntimeError, match="Cramer-Rao"):
+            min_dominating_scalar(6, (0.0, 0.999))
+
+    def test_halton_grid_matches_scipy(self):
+        qmc = pytest.importorskip("scipy.stats.qmc")
+        for n in (1, 7, 4096, 10000):
+            ref = qmc.Halton(d=3, scramble=True, seed=analysis.GRID_SEED).random(n)
+            assert np.array_equal(analysis._halton(n), ref)
 
     def test_region_monotonicity(self):
         inner = min_dominating_scalar(6, (0.0, 0.9))

@@ -24,6 +24,16 @@ interior_coords = st.tuples(
 ).filter(lambda v: 1e-3 < math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2) < 0.99
          and abs(v[0]) < 0.99 * math.sqrt(v[0] ** 2 + v[1] ** 2 + v[2] ** 2))
 
+_tiny = st.floats(-1e-6, 1e-6)
+seam_coords = st.one_of(
+    # phi wrap: z -> 0 from below with y > 0, where atan2 returns just under 0
+    st.tuples(st.floats(-0.7, 0.7), st.floats(1e-3, 0.7),
+              st.floats(-1e-6, 0.0, exclude_max=True)),
+    # theta -> 0 and theta -> pi: y, z -> 0 with x of either sign
+    st.tuples(st.floats(0.01, 0.99), _tiny, _tiny),
+    st.tuples(st.floats(-0.99, -0.01), _tiny, _tiny),
+)
+
 
 class TestStateTypes:
     def test_ball_membership_validated(self):
@@ -82,6 +92,15 @@ class TestToCartesian:
         c = BlochCartesian(*v)
         back = to_cartesian(to_spherical(c))
         assert np.allclose(back.as_array(), c.as_array(), atol=1e-12)
+
+    @given(seam_coords)
+    @settings(max_examples=300, deadline=None)
+    def test_round_trip_at_the_seams(self, v):
+        c = BlochCartesian(*v)
+        s = to_spherical(c)
+        assert 0.0 <= s.phi < 2.0 * math.pi
+        back = to_cartesian(s)
+        assert np.max(np.abs(back.as_array() - c.as_array())) <= 1e-12
 
     @given(st.floats(0.01, 0.99), st.floats(0.05, 3.0), st.floats(0.0, 6.28))
     @settings(max_examples=150, deadline=None)

@@ -245,7 +245,8 @@ class TestOutputHandling:
         assert err.value.code == 2
 
 
-_SCIPY_FREE_COMMANDS = [
+# one run of each subcommand; none may load scipy
+_EVERY_COMMAND = [
     ["helstrom", "--point", "0.3,0.2,0.1"],
     ["fisher", "--n", "5", "--point", "0.3,0.2,0.1"],
     ["gm-trace", "--metric", "quasi-bures", "--n", "4", "--r", "0.5"],
@@ -253,6 +254,11 @@ _SCIPY_FREE_COMMANDS = [
     ["coding", "--prior", "quasi-bures", "--N", "100"],
     ["normalize", "--prior", "quasi-bures"],
     ["verify-all", "--ids", "1", "3"],
+    ["dominance", "--n", "4"],
+    ["curves", "--figure", "6"],
+    ["volume", "--n", "4"],
+    ["mc", "--n", "2", "--truth", "0.3,0.2,0.1", "--M", "1000", "--R", "3", "--seed", "1"],
+    ["verify-all", "--ids", "7", "8"],
 ]
 
 _IMPORT_PROBE = """
@@ -266,22 +272,22 @@ def run(argv):
 
 codes = [run(argv) for argv in json.loads(sys.argv[1])]
 scipy = sorted(name for name in sys.modules if name.startswith("scipy"))
-dominance = run(["dominance", "--n", "4"])
-print(json.dumps({"codes": codes, "scipy": scipy, "dominance": dominance}))
+print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
 
 class TestImportBoundary:
     def test_cheap_commands_never_import_scipy(self):
+        subcommands = build_parser()._subparsers._group_actions[0].choices
+        assert {argv[0] for argv in _EVERY_COMMAND} == set(subcommands)
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
                                    if env.get("PYTHONPATH") else "")
         proc = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE, json.dumps(_SCIPY_FREE_COMMANDS)],
+            [sys.executable, "-c", _IMPORT_PROBE, json.dumps(_EVERY_COMMAND)],
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         result = json.loads(proc.stdout.splitlines()[-1])
-        assert result["codes"] == [0] * len(_SCIPY_FREE_COMMANDS)
+        assert result["codes"] == [0] * len(_EVERY_COMMAND)
         assert result["scipy"] == []
-        assert result["dominance"] == 0  # the command that imports qmc lazily
