@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -239,6 +240,7 @@ def dominates(a: InfoMatrix, b: InfoMatrix, tol: float = PSD_TOL) -> bool:
     return bool(_scaled_min_eigs(_difference(a, b)) >= -tol)
 
 
+@lru_cache(maxsize=4)
 def _halton(n: int) -> np.ndarray:
     """Bit for bit ``scipy.stats.qmc.Halton(d=3, scramble=True, seed=GRID_SEED).random(n)``.
 
@@ -254,6 +256,7 @@ def _halton(n: int) -> np.ndarray:
             u[:, d] += rng.permutation(base)[q % base] * scale
             q //= base
             scale /= base
+    u.flags.writeable = False
     return u
 
 
@@ -380,10 +383,10 @@ class QuadratureSpec:
 
     ``order`` is the node count per axis, from MIN_ORDER to MAX_ORDER;
     convergence is declared when the result at order and at
-    ceil(1.5 * order) agree to ``rtol`` relative.  The cap bounds memory:
-    the odd-N fine grid holds ceil(1.5 * order)^3 nodes with a 3x3 matrix
-    each.  ``qig volume --n 3`` peaks at 133 MB of RSS at order 48 and
-    271 MB at order 64, which extrapolates to about 0.85 GB at order 96.
+    ceil(1.5 * order) agree to ``rtol`` relative.  The odd-N grid is 2-D in
+    (r, cos gamma), so the fine grid has ceil(1.5 * order)^2 nodes: 20,736 at
+    order 96, where ``qig volume --n 3`` peaks at 38 MB of RSS.  The cap bounds
+    that work; order 48 already converges every tabulated volume.
     """
 
     MIN_ORDER: ClassVar[int] = 48
@@ -397,7 +400,7 @@ class QuadratureSpec:
             raise ValueError("quadrature order below the default 48 is not allowed")
         if self.order > self.MAX_ORDER:
             raise ValueError(f"quadrature order above {self.MAX_ORDER} is not allowed: "
-                             f"the odd-N grid would need ceil(1.5 * order)^3 nodes")
+                             f"order 48 already converges every tabulated volume")
 
 
 #: odd-N determinants at or above -_DET_ROUNDOFF * max|F|^3 count as zero
@@ -409,23 +412,21 @@ def _volume_at_order(n_copies: int, order: int) -> float:
     # boundary singularity of sqrt(det F)
     u, wu = _gl_nodes(order, 0.0, 0.5 * math.pi)
     r = np.sin(u)
-    t, wt = _gl_nodes(order, 0.0, math.pi)
     if n_copies % 2 == 0:
         # diagonal spherical form: sqrt(det) = sin(theta) r^2 a sqrt(b) / cos(u);
         # the angular integral factorizes
+        t, wt = _gl_nodes(order, 0.0, math.pi)
         r2 = r * r
         b, a = povm._even_profile(n_copies, r2)
         radial = float(np.sum(wu * r2 * a * np.sqrt(b)))  # cos(u) cancelled
         angular = float(np.sum(wt * np.sin(t))) * 2.0 * math.pi
         return radial * angular
-    # odd N: det in the spherical chart is (r^2 sin(theta))^2 det F_cartesian
-    p, wp = _gl_nodes(order, 0.0, 2.0 * math.pi)
-    rr = r[:, None, None]
-    tt = t[None, :, None]
-    pp = p[None, None, :]
-    st = np.sin(tt)
-    xyz = np.stack(np.broadcast_arrays(
-        rr * np.cos(tt), rr * st * np.cos(pp), rr * st * np.sin(pp)), axis=-1)
+    # odd N: F_N(Rv) = R F_N(v) R^T for rotations R about a = (1,1,1)/sqrt(3), so
+    # det F_N depends on r and mu = a.v/r only; the azimuth about a gives 2 pi
+    mu, wm = _gl_nodes(order, -1.0, 1.0)
+    a = np.full(3, 1.0 / math.sqrt(3.0))
+    b = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    xyz = r[:, None, None] * (mu[:, None] * a + np.sqrt(1.0 - mu * mu)[:, None] * b)
     f = povm.closed_form_batch(n_copies, xyz)
     det = np.linalg.det(f)
     # F_N is PSD, so a negative determinant may only be roundoff
@@ -435,9 +436,8 @@ def _volume_at_order(n_copies: int, order: int) -> float:
         raise RuntimeError(
             f"det F_{n_copies} = {det[worst]:.3e} at a quadrature node (order {order}) "
             f"is below the roundoff floor {floor[worst]:.3e}; F_{n_copies} is not PSD there")
-    integrand = (rr * rr * st) * np.sqrt(np.maximum(det, 0.0)) * np.cos(u)[:, None, None]
-    weights = wu[:, None, None] * wt[None, :, None] * wp[None, None, :]
-    return float(np.sum(weights * integrand))
+    radial = wu * r * r * np.cos(u)
+    return 2.0 * math.pi * float(radial @ np.sqrt(np.maximum(det, 0.0)) @ wm)
 
 
 def volume_integral(n_copies: int, quad: QuadratureSpec = QuadratureSpec()) -> float:

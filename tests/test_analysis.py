@@ -293,9 +293,50 @@ class TestBoundaryRadius:
         assert dominance_check(h, povm.fisher_closed_form(6, c)) < 0
 
 
+def rotation(axis, angle):
+    """Rotation matrix by angle about the unit vector along axis (Rodrigues)."""
+    k = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    cross = np.array([[0.0, -k[2], k[1]], [k[2], 0.0, -k[0]], [-k[1], k[0], 0.0]])
+    return np.eye(3) + math.sin(angle) * cross + (1.0 - math.cos(angle)) * cross @ cross
+
+
 class TestVolumeIntegrals:
     def test_two_copies_give_pi_squared(self):
         assert volume_integral(2) == pytest.approx(math.pi ** 2, rel=1e-6)
+
+    @given(st.floats(0.05, 0.95), st.floats(0.0, math.pi), st.floats(0.0, 6.28),
+           st.floats(0.0, 6.28), st.floats(0.0, math.pi), st.floats(0.0, 6.28))
+    @settings(max_examples=60, deadline=None)
+    def test_fisher_matrices_are_rotation_equivariant(self, r, theta, phi, angle,
+                                                      axis_theta, axis_phi):
+        # the odd-N volume is a 2-D integral because F_N(Rv) = R F_N(v) R^T
+        # for rotations about (1,1,1)/sqrt(3); even N admits any axis
+        v = r * np.array([math.cos(theta), math.sin(theta) * math.cos(phi),
+                          math.sin(theta) * math.sin(phi)])
+        any_axis = [math.cos(axis_theta), math.sin(axis_theta) * math.cos(axis_phi),
+                    math.sin(axis_theta) * math.sin(axis_phi)]
+        for n in (3, 4, 5, 6):
+            rot = rotation((1.0, 1.0, 1.0) if n % 2 else any_axis, angle)
+            f = povm.closed_form_batch(n, v)
+            gap = np.abs(rot @ f @ rot.T - povm.closed_form_batch(n, rot @ v)).max()
+            assert gap <= 1e-12 * np.abs(f).max()
+
+    @pytest.mark.parametrize("n,value", [(3, 21.023542114391), (5, 51.076296738930)])
+    def test_odd_volumes_match_the_three_dimensional_grid(self, n, value):
+        # values of the former (r, theta, phi) tensor grid at orders 48 and 72
+        assert volume_integral(n) == pytest.approx(value, rel=1e-9)
+
+    def test_odd_volume_grid_is_two_dimensional(self, monkeypatch):
+        points = []
+        kernel = povm.closed_form_batch
+
+        def counting(n, xyz):
+            points.append(np.asarray(xyz).size // 3)
+            return kernel(n, xyz)
+
+        monkeypatch.setattr(povm, "closed_form_batch", counting)
+        volume_integral(5)
+        assert sum(points) == 48 ** 2 + 72 ** 2
 
     @pytest.mark.parametrize("n,target", [(3, 21.0235), (4, 35.0281),
                                           (5, 51.0763), (6, 69.1253)])
