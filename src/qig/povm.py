@@ -4,8 +4,8 @@ For N = 2 and 3 copies of a two-level system the optimal joint (covariant)
 measurements reduce to explicit outcome distributions over the Bloch ball
 (five outcomes for N = 2, eight for N = 3); these are exposed as
 :class:`~qig.infogeo.ProbModel` instances so the generic Fisher engine
-applies.  For N = 4, 5, 6 only the resulting Fisher information matrices
-are available in closed form; they are transcribed here literally, as
+applies.  For N = 3..6 the Fisher information matrices are given in closed
+form as
 
     F_N = (N-1) * H_q + R_N,
 
@@ -20,20 +20,30 @@ The closed forms are array kernels: :func:`closed_form_batch` and
 functions validate a single state, call the kernel and wrap the result in
 an ``InfoMatrix``.
 
-Entry completion for N = 5: the source display gives the (1,1) and (1,2)
-cells of the residual and says the rest follow by symmetry.  The family is
-invariant under permutations of (x, y, z) with outcome relabelling, so
+Odd N in invariant form: for odd N the optimal measurement has a spin-1/2
+sector that measures the pair +-a, a = (1,1,1)/sqrt(3), with outcome
+probabilities c g^k (1 +- a.v)/2, g = (1 - r^2)/4, k = (N-1)/2 (c = 2 for
+N = 3, 5 for N = 5).  That pair contributes c g^k [alpha^2 v v^T + J/(3 - s^2)],
+alpha = (N-1)/(1 - r^2), s = x + y + z and J the all-ones matrix; every
+other sector has a rotation-invariant Fisher matrix, a combination of I and
+v v^T.  So
 
-    (2,2) = (1,1) with x<->y,  (3,3) = (1,1) with x<->z,
-    (1,3) = (1,2) with y<->z,  (2,3) = (1,2) under the cycle x->y->z->x.
+    R_N = A(r^2) I + B v v^T + C(r^2) J / (3 - s^2),
 
-This completion is validated against trace(H_q^{-1} F_5) = (19 - r^2)/2,
-the residual eigenvalue -(3/16)(5 + 3 r^2), and matrix symmetry.
+    N = 3:  A = -1/2,               B = 0,    C = (1 - r^2)/2,
+    N = 5:  A = -(3/16)(5 + 3 r^2), B = 7/8,  C = (5/16)(1 - r^2)^2,
+
+and the (x+y+z)^2 - 3 denominators of the paper's cells all come from the
+pair.  The paper's literal cells, with the permutation completion of the
+N = 5 (1,1) and (1,2) cells, live in the tests as the oracle this form is
+checked against exactly, in rational arithmetic.  The even-N residuals are
+the paper's cells as printed.
 """
 
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -130,14 +140,6 @@ def vidal_probabilities(n_copies: int, c: BlochCartesian) -> np.ndarray:
 # Residual matrices R_N = F_N - (N-1) H_q
 # ---------------------------------------------------------------------------
 
-def _residual3(x, y, z):
-    r2 = x * x + y * y + z * z
-    pref = 1.0 / (2.0 * ((x + y + z) ** 2 - 3.0))
-    a = pref * 2.0 * (1.0 - x * y - x * z - y * z)
-    b = pref * (r2 - 1.0)
-    return _sym3((a, a, a), (b, b, b))
-
-
 def _residual4(x, y, z):
     x2, y2, z2 = x * x, y * y, z * z
     return _sym3(
@@ -148,35 +150,21 @@ def _residual4(x, y, z):
     )
 
 
-def _r5_diag(x, y, z):
-    # (1,1) cell of the N=5 residual numerator
-    return -2.0 * (
-        -20.0 + 7.0 * y ** 4 + 9.0 * y ** 3 * z - 11.0 * z ** 2 + 7.0 * z ** 4
-        - 5.0 * x ** 3 * (y + z)
-        + 3.0 * y * z * (5.0 + 3.0 * z ** 2)
-        + 3.0 * x * (y + z) * (5.0 + 3.0 * y ** 2 + 3.0 * z ** 2)
-        + x ** 2 * (10.0 + 7.0 * y ** 2 - 5.0 * y * z + 7.0 * z ** 2)
-        + y ** 2 * (-11.0 + 14.0 * z ** 2)
-    )
+def _odd_profile(n_copies: int, r2):
+    """(A, B, C) with R_N = A I + B v v^T + C J / (3 - s^2) for N = 3, 5.
+
+    Integer literals keep the profile exact when ``r2`` is a Fraction.
+    """
+    if n_copies == 3:
+        return -0.5, 0.0, (1 - r2) / 2
+    return -3 * (5 + 3 * r2) / 16, 7 / 8, 5 * (1 - r2) ** 2 / 16
 
 
-def _r5_off(x, y, z):
-    # (1,2) cell of the N=5 residual numerator
-    return (
-        -5.0 * x ** 4 + 14.0 * x ** 3 * y
-        + 2.0 * x ** 2 * (5.0 + 9.0 * y ** 2 + 14.0 * y * z - 5.0 * z ** 2)
-        - 5.0 * (-1.0 + y ** 2 + z ** 2) ** 2
-        + 14.0 * x * y * (-3.0 + (y + z) ** 2)
-    )
-
-
-def _residual5(x, y, z):
-    pref = np.asarray(1.0 / (16.0 * ((x + y + z) ** 2 - 3.0)))
-    cells = _sym3(
-        (_r5_diag(x, y, z), _r5_diag(y, x, z), _r5_diag(z, y, x)),
-        (_r5_off(x, y, z), _r5_off(x, z, y), _r5_off(y, z, x)),
-    )
-    return pref[..., None, None] * cells
+def _residual_odd(n_copies: int, x, y, z):
+    a, b, c = _odd_profile(n_copies, x * x + y * y + z * z)
+    k = c / (3.0 - (x + y + z) ** 2)
+    return _sym3((a + b * x * x + k, a + b * y * y + k, a + b * z * z + k),
+                 (b * x * y + k, b * x * z + k, b * y * z + k))
 
 
 def _r6_diag(x, y, z):
@@ -195,7 +183,8 @@ def _residual6(x, y, z):
     )
 
 
-_RESIDUALS = {3: _residual3, 4: _residual4, 5: _residual5, 6: _residual6}
+_RESIDUALS = {3: partial(_residual_odd, 3), 4: _residual4,
+              5: partial(_residual_odd, 5), 6: _residual6}
 
 
 def closed_form_batch(n_copies: int, xyz: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Tests for the optimal-measurement families and closed-form Fisher matrices."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -169,6 +171,102 @@ class TestClosedForms:
     def test_seven_copies_is_reference_only(self):
         with pytest.raises(UnsupportedNError):
             fisher_closed_form(7, BlochCartesian(0.1, 0.1, 0.1))
+
+
+# The paper's literal odd-N residual cells, the oracle for povm's invariant
+# form.  The source gives only the (1,1) and (1,2) cells of R_5; the family is
+# invariant under permutations of (x, y, z) with outcome relabelling, so
+#   (2,2) = (1,1) with x<->y,  (3,3) = (1,1) with x<->z,
+#   (1,3) = (1,2) with y<->z,  (2,3) = (1,2) under the cycle x->y->z->x.
+# Integer literals keep every cell exact on Fractions.
+
+def _paper_r3(x, y, z):
+    den = 2 * ((x + y + z) ** 2 - 3)
+    d = 2 * (1 - x * y - x * z - y * z) / den
+    o = (x * x + y * y + z * z - 1) / den
+    return [[d, o, o], [o, d, o], [o, o, d]]
+
+
+def _paper_r5_diag(x, y, z):
+    return -2 * (
+        -20 + 7 * y ** 4 + 9 * y ** 3 * z - 11 * z ** 2 + 7 * z ** 4
+        - 5 * x ** 3 * (y + z)
+        + 3 * y * z * (5 + 3 * z ** 2)
+        + 3 * x * (y + z) * (5 + 3 * y ** 2 + 3 * z ** 2)
+        + x ** 2 * (10 + 7 * y ** 2 - 5 * y * z + 7 * z ** 2)
+        + y ** 2 * (-11 + 14 * z ** 2)
+    )
+
+
+def _paper_r5_off(x, y, z):
+    return (
+        -5 * x ** 4 + 14 * x ** 3 * y
+        + 2 * x ** 2 * (5 + 9 * y ** 2 + 14 * y * z - 5 * z ** 2)
+        - 5 * (-1 + y ** 2 + z ** 2) ** 2
+        + 14 * x * y * (-3 + (y + z) ** 2)
+    )
+
+
+def _paper_r5(x, y, z):
+    den = 16 * ((x + y + z) ** 2 - 3)
+    d = [_paper_r5_diag(x, y, z), _paper_r5_diag(y, x, z), _paper_r5_diag(z, y, x)]
+    o = [_paper_r5_off(x, y, z), _paper_r5_off(x, z, y), _paper_r5_off(y, z, x)]
+    cells = [[d[0], o[0], o[1]], [o[0], d[1], o[2]], [o[1], o[2], d[2]]]
+    return [[t / den for t in row] for row in cells]
+
+
+_PAPER_RESIDUALS = {3: _paper_r3, 5: _paper_r5}
+
+
+def _invariant_exact(n, v):
+    """A I + B v v^T + C J / (3 - s^2) from povm's odd-N profile, in Fractions."""
+    a, b, c = (Fraction(t) for t in povm._odd_profile(n, sum(t * t for t in v)))
+    k = c / (3 - sum(v) ** 2)
+    return [[a * (i == j) + b * v[i] * v[j] + k for j in range(3)] for i in range(3)]
+
+
+def rational_points(n=60, seed=11):
+    rng = np.random.default_rng(seed)
+    pts = []
+    while len(pts) < n:
+        v = [Fraction(int(p), 101) for p in rng.integers(-100, 101, 3)]
+        if sum(t * t for t in v) < 1:
+            pts.append(v)
+    return pts
+
+
+class TestOddResidualOracle:
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_invariant_form_equals_paper_cells_exactly(self, n):
+        for v in rational_points():
+            assert _invariant_exact(n, v) == _PAPER_RESIDUALS[n](*v), v
+
+    @pytest.mark.parametrize("tilt", [0.0, 1e-3])
+    def test_five_copy_kernel_is_accurate_near_the_axis(self, tilt):
+        # 3 - s^2 vanishes like 1 - r^2 along a = (1,1,1)/sqrt(3) while R_5
+        # stays bounded; the kernel must not lose digits to that cancellation.
+        # (R_3's J term tends to a direction-dependent limit there, so its
+        # value is ill-conditioned in v itself and has no such bound.)
+        direction = np.array([1.0, 1.0, 1.0 + tilt])
+        direction /= np.linalg.norm(direction)
+        for h in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
+            v = (1.0 - h) * direction
+            exact = np.array(_paper_r5(*(Fraction(t) for t in v)), dtype=float)
+            gap = np.abs(povm.residual_batch(5, v) - exact)
+            assert np.max(gap) <= 1e-14 * np.max(np.abs(exact)), (h, np.max(gap))
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @given(ball_batches)
+    @settings(max_examples=100, deadline=None)
+    def test_permutation_equivariance(self, n, pts):
+        # F_N(P v) = P F_N(v) P^T for every coordinate permutation P, up to
+        # the roundoff of summing x^2 + y^2 + z^2 in another order
+        v = np.array(pts)
+        f = povm.closed_form_batch(n, v)
+        tol = 1e-13 * np.max(np.abs(f), axis=(1, 2))[:, None, None]
+        for perm in itertools.permutations(range(3)):
+            p = np.eye(3)[list(perm)]
+            assert np.all(np.abs(povm.closed_form_batch(n, v @ p.T) - p @ f @ p.T) <= tol)
 
 
 class TestSphericalDiag:
