@@ -332,17 +332,16 @@ def min_dominating_scalar(n_copies: int,
     """Smallest c with c*H_q - F_N PSD over the scan grid.
 
     c*H_q - F_N is PSD iff c bounds every eigenvalue of H_q^{-1} F_N, so c
-    is the largest of those over the grid: the top eigenvalue of S F_N S
-    with S = H_q^{-1/2} = I - v v^T / (1 + sqrt(1 - r^2)).  The Cramer-Rao
-    bound guarantees c <= N.  Enlarging the region can only raise c.
+    is the largest of those over the grid, closed-form in r^2 and (x+y+z)^2/3
+    (``povm`` module docstring).  The Cramer-Rao bound guarantees c <= N.
+    Enlarging the region can only raise c.
     """
     if n_copies not in (3, 4, 5, 6):
         raise povm.UnsupportedNError(
             f"dominating-scalar search needs a closed-form matrix, N in 3..6, got {n_copies}")
     pts = ball_grid(region)
-    den = 1.0 + np.sqrt(1.0 - np.sum(pts * pts, axis=-1))
-    s = np.eye(3) - pts[:, :, None] * pts[:, None, :] / den[:, None, None]
-    c = float(np.linalg.eigvalsh(s @ povm.closed_form_batch(n_copies, pts) @ s)[:, -1].max())
+    t2 = np.sum(pts, axis=-1) ** 2 / 3.0
+    c = float(np.max(povm._ratio_spectrum(n_copies, np.sum(pts * pts, axis=-1), t2)))
     if c > n_copies:
         raise RuntimeError(f"{n_copies}*H_q fails to dominate F_{n_copies} (c = {c!r}); "
                            "the Cramer-Rao cap must hold, so the grid or matrices are wrong")
@@ -403,7 +402,7 @@ class QuadratureSpec:
                              f"order 48 already converges every tabulated volume")
 
 
-#: odd-N determinants at or above -_DET_ROUNDOFF * max|F|^3 count as zero
+#: det(H_q^{-1} F_N) at or above -_DET_ROUNDOFF * (largest eigenvalue)^3 counts as zero
 _DET_ROUNDOFF = 1e-12
 
 
@@ -422,22 +421,20 @@ def _volume_at_order(n_copies: int, order: int) -> float:
         angular = float(np.sum(wt * np.sin(t))) * 2.0 * math.pi
         return radial * angular
     # odd N: F_N(Rv) = R F_N(v) R^T for rotations R about a = (1,1,1)/sqrt(3), so
-    # det F_N depends on r and mu = a.v/r only; the azimuth about a gives 2 pi
+    # det F_N depends on r and mu = a.v/r only; the azimuth about a gives 2 pi.
+    # det F_N = det(H_q^{-1} F_N) / cos(u)^2, so the cos(u) of dr cancels
     mu, wm = _gl_nodes(order, -1.0, 1.0)
-    a = np.full(3, 1.0 / math.sqrt(3.0))
-    b = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
-    xyz = r[:, None, None] * (mu[:, None] * a + np.sqrt(1.0 - mu * mu)[:, None] * b)
-    f = povm.closed_form_batch(n_copies, xyz)
-    det = np.linalg.det(f)
+    r2 = (r * r)[:, None]
+    lam = povm._ratio_spectrum(n_copies, r2, r2 * mu * mu)
+    det = lam[0] * lam[1] * lam[2]
     # F_N is PSD, so a negative determinant may only be roundoff
-    floor = -_DET_ROUNDOFF * np.max(np.abs(f), axis=(-2, -1)) ** 3
+    floor = -_DET_ROUNDOFF * np.max(np.abs(lam), axis=0) ** 3
     if np.any(det < floor):
         worst = np.unravel_index(np.argmin(det - floor), det.shape)
         raise RuntimeError(
-            f"det F_{n_copies} = {det[worst]:.3e} at a quadrature node (order {order}) "
+            f"det(H_q^-1 F_{n_copies}) = {det[worst]:.3e} at a quadrature node (order {order}) "
             f"is below the roundoff floor {floor[worst]:.3e}; F_{n_copies} is not PSD there")
-    radial = wu * r * r * np.cos(u)
-    return 2.0 * math.pi * float(radial @ np.sqrt(np.maximum(det, 0.0)) @ wm)
+    return 2.0 * math.pi * float((wu * r * r) @ np.sqrt(np.maximum(det, 0.0)) @ wm)
 
 
 def volume_integral(n_copies: int, quad: QuadratureSpec = QuadratureSpec()) -> float:

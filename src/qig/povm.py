@@ -38,6 +38,12 @@ pair.  The paper's literal cells, with the permutation completion of the
 N = 5 (1,1) and (1,2) cells, live in the tests as the oracle this form is
 checked against exactly, in rational arithmetic.  The even-N residuals are
 the paper's cells as printed.
+
+The eigenvalues of H_q^{-1} F_N are closed-form: the largest is the tight c of
+c H_q >= F_N, their product (1 - r^2) det F_N.  Even N gives (b, a, a) of _even_profile.
+Odd N: with S = H_q^{-1/2} and t = a.v, S F_N S = lam0 I + beta v v^T + C (S a)(S a)^T
+/ (1 - t^2), lam0 = N - 1 + A, beta = B (1 - r^2) - A, so they are lam0 and lam0 + m
+-+ sqrt(d), m = (beta r^2 + C)/2, d = ((beta r^2 - C)/2)^2 + beta C (1 - r^2) t^2/(1 - t^2).
 """
 
 from __future__ import annotations
@@ -234,18 +240,35 @@ def _even_profile(n_copies: int, r2):
     """(b, a) with F_N = diag(b/(1-r^2), r^2 a, r^2 a sin^2 theta) in the x-polar chart.
 
     The even-N closed forms are rotationally invariant, so two radial
-    profiles in r^2 carry the whole matrix; N = 2 is H_q itself.
+    profiles in r^2 carry the whole matrix; N = 2 is H_q itself.  Exact on Fractions.
     """
     if n_copies == 2:
         return 1.0, 1.0
     if n_copies == 4:
-        return (29.0 + 7.0 * r2) / 12.0, (29.0 - 5.0 * r2) / 12.0
+        return (29 + 7 * r2) / 12, (29 - 5 * r2) / 12
     if n_copies == 6:
         r4 = r2 * r2
-        return ((475.0 + 172.0 * r2 - 47.0 * r4) / 120.0,
-                (475.0 - 146.0 * r2 + 31.0 * r4) / 120.0)
+        return ((475 + 172 * r2 - 47 * r4) / 120,
+                (475 - 146 * r2 + 31 * r4) / 120)
     raise UnsupportedNError(
         f"diagonal spherical forms exist for N in (2, 4, 6), got {n_copies}")
+
+
+def _ratio_spectrum(n_copies: int, r2, t2) -> tuple:
+    """The three eigenvalues of H_q^{-1} F_N at r^2 = v.v, t^2 = (a.v)^2, as arrays."""
+    if n_copies % 2 == 0:
+        b, a = _even_profile(n_copies, r2)
+        return np.broadcast_arrays(a, a, b)
+    lam0, m, d = _odd_ratio_parts(n_copies, *_odd_profile(n_copies, r2), r2, t2)
+    root = np.sqrt(d)
+    return np.broadcast_arrays(lam0, lam0 + m - root, lam0 + m + root)
+
+
+def _odd_ratio_parts(n_copies: int, a, b, c, r2, t2):
+    """(lam0, m, d) of the module docstring from the profile (A, B, C); exact on Fractions."""
+    beta = b * (1 - r2) - a
+    d = ((beta * r2 - c) / 2) ** 2 + beta * c * (1 - r2) * t2 / (1 - t2)
+    return n_copies - 1 + a, (beta * r2 + c) / 2, d
 
 
 def fisher_spherical_diag(n_copies: int, s: BlochSpherical) -> InfoMatrix:

@@ -246,8 +246,9 @@ class TestDominance:
         assert scan_dominance(n, c - 1e-6, (0.0, 0.999)).n_violations > 0
 
     def test_cramer_rao_guard(self, monkeypatch):
-        monkeypatch.setattr(povm, "closed_form_batch",
-                            lambda n, xyz: 7.0 * infogeo.helstrom_batch(xyz))
+        # H_q^{-1} F_N = 7 I: the scalar exceeds N = 6
+        monkeypatch.setattr(povm, "_ratio_spectrum",
+                            lambda n, r2, t2: np.broadcast_arrays(7.0, 7.0, 7.0 + 0 * r2))
         with pytest.raises(RuntimeError, match="Cramer-Rao"):
             min_dominating_scalar(6, (0.0, 0.999))
 
@@ -328,13 +329,13 @@ class TestVolumeIntegrals:
 
     def test_odd_volume_grid_is_two_dimensional(self, monkeypatch):
         points = []
-        kernel = povm.closed_form_batch
+        kernel = povm._ratio_spectrum
 
-        def counting(n, xyz):
-            points.append(np.asarray(xyz).size // 3)
-            return kernel(n, xyz)
+        def counting(n, r2, t2):
+            points.append(np.broadcast(r2, t2).size)
+            return kernel(n, r2, t2)
 
-        monkeypatch.setattr(povm, "closed_form_batch", counting)
+        monkeypatch.setattr(povm, "_ratio_spectrum", counting)
         volume_integral(5)
         assert sum(points) == 48 ** 2 + 72 ** 2
 
@@ -364,18 +365,18 @@ class TestVolumeIntegrals:
             volume_integral(7)
 
     def test_negative_determinant_beyond_roundoff_raises(self, monkeypatch):
-        def not_psd(n, xyz):
-            return np.broadcast_to(np.diag([1.0, 1.0, -1e-6]), xyz.shape + (3,))
+        def not_psd(n, r2, t2):
+            return np.broadcast_arrays(1.0, 1.0, -1e-6 + 0 * t2)
 
-        monkeypatch.setattr(povm, "closed_form_batch", not_psd)
+        monkeypatch.setattr(povm, "_ratio_spectrum", not_psd)
         with pytest.raises(RuntimeError, match="not PSD"):
             volume_integral(3)
 
     def test_roundoff_negative_determinant_counts_as_zero(self, monkeypatch):
-        def roundoff(n, xyz):
-            return np.broadcast_to(np.diag([1.0, 1.0, -1e-14]), xyz.shape + (3,))
+        def roundoff(n, r2, t2):
+            return np.broadcast_arrays(1.0, 1.0, -1e-14 + 0 * t2)
 
-        monkeypatch.setattr(povm, "closed_form_batch", roundoff)
+        monkeypatch.setattr(povm, "_ratio_spectrum", roundoff)
         assert volume_integral(3) == 0.0
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qig import acceptance, coding
+from qig import acceptance, analysis, coding, povm
 from qig.cli import build_parser, main
 
 
@@ -93,6 +93,20 @@ class TestDominanceCommand:
         assert code == 0
         assert payload["scalar_bound"] <= 3.0 + 1e-3
         assert payload["violations"] == []
+
+    def test_tight_scalar_scan_evaluates_the_matrices_once(self, capsys, monkeypatch):
+        # the scalar comes from the closed-form spectrum; only the scan needs F_N
+        sizes = []
+        kernel = povm.closed_form_batch
+
+        def counting(n, xyz):
+            sizes.append(np.asarray(xyz).size // 3)
+            return kernel(n, xyz)
+
+        monkeypatch.setattr(povm, "closed_form_batch", counting)
+        code, out = run_cli(capsys, "dominance", "--n", "6")
+        assert code == 0 and json.loads(out)["n_violations"] == 0
+        assert sizes == [len(analysis.ball_grid())]
 
     @pytest.mark.parametrize("scalar", ["nan", "inf"])
     def test_non_finite_scalar_is_usage_error(self, capsys, scalar):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qig import bloch, infogeo, povm
+from qig import bloch, coding, infogeo, povm
 from qig.bloch import BlochCartesian, BlochSpherical, PureStateError
 from qig.povm import (
     UnsupportedNError,
@@ -215,7 +215,28 @@ def _paper_r5(x, y, z):
     return [[t / den for t in row] for row in cells]
 
 
-_PAPER_RESIDUALS = {3: _paper_r3, 5: _paper_r5}
+# The paper's even-N residual cells, with integer literals for Fractions.
+
+def _paper_r4(x, y, z):
+    d = [(-7 - 5 * y * y - 5 * z * z) / 12, (-7 - 5 * x * x - 5 * z * z) / 12,
+         (-7 - 5 * x * x - 5 * y * y) / 12]
+    return [[d[0], 5 * x * y / 12, 5 * x * z / 12],
+            [5 * x * y / 12, d[1], 5 * y * z / 12],
+            [5 * x * z / 12, 5 * y * z / 12, d[2]]]
+
+
+def _paper_r6(x, y, z):
+    def diag(p, q, w):
+        s = q * q + w * w
+        return (-125 - 146 * s + 31 * s * s + p * p * (47 + 31 * s)) / 120
+
+    k = (193 - 31 * (x * x + y * y + z * z)) / 120
+    return [[diag(x, y, z), k * x * y, k * x * z],
+            [k * x * y, diag(y, x, z), k * y * z],
+            [k * x * z, k * y * z, diag(z, x, y)]]
+
+
+_PAPER_RESIDUALS = {3: _paper_r3, 4: _paper_r4, 5: _paper_r5, 6: _paper_r6}
 
 
 def _invariant_exact(n, v):
@@ -267,6 +288,75 @@ class TestOddResidualOracle:
         for perm in itertools.permutations(range(3)):
             p = np.eye(3)[list(perm)]
             assert np.all(np.abs(povm.closed_form_batch(n, v @ p.T) - p @ f @ p.T) <= tol)
+
+
+def _paper_fisher(n, v):
+    """F_N = (N-1) H_q + R_N from the paper's cells, H_q = I + v v^T / (1 - r^2)."""
+    r2 = sum(t * t for t in v)
+    res = _PAPER_RESIDUALS[n](*v)
+    return [[(n - 1) * ((i == j) + v[i] * v[j] / (1 - r2)) + res[i][j] for j in range(3)]
+            for i in range(3)]
+
+
+def _det3(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def _spectrum_sum_product(n, r2, t2):
+    """Sum and product of povm's eigenvalues of H_q^{-1} F_N, exact on Fractions."""
+    if n % 2 == 0:
+        lam = [x.item() for x in povm._ratio_spectrum(n, r2, t2)]
+        return sum(lam), lam[0] * lam[1] * lam[2]
+    profile = (Fraction(t) for t in povm._odd_profile(n, r2))
+    lam0, m, d = povm._odd_ratio_parts(n, *profile, r2, t2)
+    return 3 * lam0 + 2 * m, lam0 * ((lam0 + m) ** 2 - d)
+
+
+def spectrum_points():
+    axis = [[Fraction(k, 19)] * 3 for k in range(-10, 11, 4)]
+    x_axis = [[Fraction(k, 7), Fraction(0), Fraction(0)] for k in (-6, -1, 0, 3, 6)]
+    return rational_points(50, seed=23) + axis + x_axis
+
+
+class TestRatioSpectrum:
+    """The eigenvalues of H_q^{-1} F_N that the dominating scalar and odd-N volumes use."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_sum_and_product_match_the_paper_cells_exactly(self, n):
+        # tr(H_q^{-1} F_N) and det(H_q^{-1} F_N) = (1 - r^2) det F_N, H_q^{-1} = I - v v^T
+        for v in spectrum_points():
+            r2 = sum(t * t for t in v)
+            f = _paper_fisher(n, v)
+            trace = sum(f[i][i] for i in range(3)) - sum(
+                v[i] * f[i][j] * v[j] for i in range(3) for j in range(3))
+            assert _spectrum_sum_product(n, r2, sum(v) ** 2 / 3) == (
+                trace, (1 - r2) * _det3(f)), v
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @given(st.floats(0.0, 0.999), st.floats(0.0, math.pi),
+           st.floats(0.0, 2 * math.pi, exclude_max=True))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_eigenvalues_of_the_matrix_ratio(self, n, r, theta, phi):
+        v = bloch.to_cartesian(BlochSpherical(r, theta, phi)).as_array()
+        ratio = np.linalg.solve(infogeo.helstrom_batch(v), povm.closed_form_batch(n, v))
+        want = np.sort(np.linalg.eigvals(ratio).real)
+        got = np.sort(povm._ratio_spectrum(n, v @ v, np.sum(v) ** 2 / 3))
+        assert np.all(np.abs(got - want) <= 1e-12 * want)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_determinant_is_accurate_at_the_outermost_volume_node(self, n):
+        # the odd-N volume integrates sqrt(det(H_q^{-1} F_N)) up to these nodes, on
+        # the axis (t = r), next to it and across it; a 3x3 LU of F_N, whose entries
+        # grow like 1/(1 - r^2), keeps only about 1e-10 relative accuracy there
+        u, _ = coding._gl_nodes(72, 0.0, 0.5 * math.pi)
+        mu, _ = coding._gl_nodes(72, -1.0, 1.0)
+        r2 = math.sin(u[-1]) ** 2
+        for t2 in (r2, r2 * mu[-1] ** 2, r2 * mu[36] ** 2):
+            got = math.prod(povm._ratio_spectrum(n, r2, t2))
+            _, want = _spectrum_sum_product(n, Fraction(r2), Fraction(t2))
+            assert abs(got - want) <= 1e-14 * want, (t2, float((got - want) / want))
 
 
 class TestSphericalDiag:
