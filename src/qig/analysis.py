@@ -312,12 +312,18 @@ class DominanceReport:
 def scan_dominance(n_copies: int, scalar: float,
                    region: tuple[float, float] = (0.0, 0.999),
                    tol: float = PSD_TOL, max_reported: int = 50) -> DominanceReport:
-    """Scan whether scalar*H_q dominates F_N over the deterministic grid."""
+    """Scan whether scalar*H_q dominates F_N over the deterministic grid.
+
+    Violations are listed worst first by their scaled minimum eigenvalue
+    rounded to 9 decimals, ties in grid order: points of equal radius on the
+    EDGE_DIRECTIONS lines have equal eigenvalues for every even N, and
+    roundoff must not decide which of them are listed.
+    """
     pts = ball_grid(region)
     eigs = _scaled_min_eigs(scalar * infogeo.helstrom_batch(pts)
                             - povm.closed_form_batch(n_copies, pts))
     bad = np.flatnonzero(eigs < -tol)
-    order = bad[np.argsort(eigs[bad])][:max_reported]
+    order = bad[np.lexsort((bad, np.round(eigs[bad], 9)))][:max_reported]
     return DominanceReport(
         scalar_bound=float(scalar),
         min_eigenvalue_found=float(eigs.min()),

@@ -274,6 +274,47 @@ class TestDominance:
             assert np.all(ratios > 0.999)  # conjecture: approached from above
 
 
+def _invariant_even_fisher(n, xyz):
+    """Even-N F_N as a I + (b/(1 - r^2) - a) v v^T / r^2: the same matrix, other roundoff."""
+    r2 = np.sum(xyz * xyz, axis=-1)[..., None, None]
+    b, a = povm._even_profile(n, r2)
+    return a * np.eye(3) + (b / (1 - r2) - a) * xyz[..., :, None] * xyz[..., None, :] / r2
+
+
+def _matrix_listing(n, scalar, fisher=povm.closed_form_batch):
+    """The 50 listed violations from 3x3 eigvalsh: worst rounded eigenvalue, then grid order."""
+    pts = analysis.ball_grid()
+    eigs = analysis._scaled_min_eigs(scalar * infogeo.helstrom_batch(pts) - fisher(n, pts))
+    bad = np.flatnonzero(eigs < -analysis.PSD_TOL)
+    return [BlochCartesian(*pts[i]) for i in bad[np.lexsort((bad, np.round(eigs[bad], 9)))][:50]]
+
+
+#: (N, a scalar looser than the tight one); each scan also runs at c* - 1e-6
+SCAN_CASES = [(2, 0.9), (3, 1.9), (4, 2.9), (5, 3.9), (6, 4.99)]
+
+
+def _scan_scalars(n, loose):
+    tight = 1.0 if n == 2 else min_dominating_scalar(n)
+    return tight - 1e-6, loose
+
+
+class TestDominanceListing:
+    """Which violations scan_dominance lists is decided by value, never by roundoff."""
+
+    @pytest.mark.parametrize("n, loose", SCAN_CASES)
+    def test_listing_matches_the_matrix_eigenvalues(self, n, loose):
+        for scalar in _scan_scalars(n, loose):
+            assert scan_dominance(n, scalar).violating_points == _matrix_listing(n, scalar)
+
+    @pytest.mark.parametrize("n, loose", [(4, 2.9), (6, 4.99)])
+    def test_tied_edge_points_keep_their_places_under_other_roundoff(self, n, loose):
+        # the EDGE_DIRECTIONS lines share their radii, so for even N the
+        # eigenvalues there tie and only roundoff tells them apart.  (Near c*
+        # this rewrite itself is off by up to 5e-11, which can cross a bin.)
+        assert scan_dominance(n, loose).violating_points == _matrix_listing(
+            n, loose, _invariant_even_fisher)
+
+
 class TestBoundaryRadius:
     def test_value(self):
         assert dominance_boundary_radius() == pytest.approx(0.992348, abs=1e-4)
