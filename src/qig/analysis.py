@@ -18,6 +18,9 @@ of ball points plus a dense radial line near r = 1, where all known
 dominance violations cluster.  PSD decisions rescale the matrix to unit
 Frobenius norm before applying the eigenvalue tolerance, so near-pure
 points with entries of order 1/(1-r^2) are judged on relative footing.
+The scan takes the eigenvalues of c*H_q - F_N in closed form from ``povm``
+and lists violations by their scaled minimum rounded to 9 decimals, then
+by grid index.
 """
 
 from __future__ import annotations
@@ -309,19 +312,33 @@ class DominanceReport:
         }
 
 
+def _invariants(pts: np.ndarray) -> tuple:
+    """(r^2, t^2) at points of shape (..., 3): t = a.v, a = (1,1,1)/sqrt(3)."""
+    return np.sum(pts * pts, axis=-1), np.sum(pts, axis=-1) ** 2 / 3.0
+
+
+def _scaled_min_difference(n_copies: int, scalar: float, pts: np.ndarray) -> np.ndarray:
+    """_scaled_min_eigs of scalar*H_q - F_N at each point, from its closed-form spectrum."""
+    lam = np.array(povm._difference_spectrum(n_copies, scalar, *_invariants(pts)))
+    norms = np.sqrt(np.sum(lam * lam, axis=0))
+    return lam.min(axis=0) / np.where(norms == 0.0, 1.0, norms)
+
+
 def scan_dominance(n_copies: int, scalar: float,
                    region: tuple[float, float] = (0.0, 0.999),
                    tol: float = PSD_TOL, max_reported: int = 50) -> DominanceReport:
     """Scan whether scalar*H_q dominates F_N over the deterministic grid.
 
-    Violations are listed worst first by their scaled minimum eigenvalue
+    A point violates when the smallest eigenvalue of scalar*H_q - F_N, over
+    the root sum of squares of all three (its Frobenius norm), is below
+    -tol.  The three are closed-form (``povm`` module docstring), so no
+    matrix is built.  Violations are listed worst first by that value
     rounded to 9 decimals, ties in grid order: points of equal radius on the
     EDGE_DIRECTIONS lines have equal eigenvalues for every even N, and
     roundoff must not decide which of them are listed.
     """
     pts = ball_grid(region)
-    eigs = _scaled_min_eigs(scalar * infogeo.helstrom_batch(pts)
-                            - povm.closed_form_batch(n_copies, pts))
+    eigs = _scaled_min_difference(n_copies, scalar, pts)
     bad = np.flatnonzero(eigs < -tol)
     order = bad[np.lexsort((bad, np.round(eigs[bad], 9)))][:max_reported]
     return DominanceReport(
@@ -345,9 +362,7 @@ def min_dominating_scalar(n_copies: int,
     if n_copies not in (3, 4, 5, 6):
         raise povm.UnsupportedNError(
             f"dominating-scalar search needs a closed-form matrix, N in 3..6, got {n_copies}")
-    pts = ball_grid(region)
-    t2 = np.sum(pts, axis=-1) ** 2 / 3.0
-    c = float(np.max(povm._ratio_spectrum(n_copies, np.sum(pts * pts, axis=-1), t2)))
+    c = float(np.max(povm._ratio_spectrum(n_copies, *_invariants(ball_grid(region)))))
     if c > n_copies:
         raise RuntimeError(f"{n_copies}*H_q fails to dominate F_{n_copies} (c = {c!r}); "
                            "the Cramer-Rao cap must hold, so the grid or matrices are wrong")

@@ -44,6 +44,13 @@ c H_q >= F_N, their product (1 - r^2) det F_N.  Even N gives (b, a, a) of _even_
 Odd N: with S = H_q^{-1/2} and t = a.v, S F_N S = lam0 I + beta v v^T + C (S a)(S a)^T
 / (1 - t^2), lam0 = N - 1 + A, beta = B (1 - r^2) - A, so they are lam0 and lam0 + m
 -+ sqrt(d), m = (beta r^2 + C)/2, d = ((beta r^2 - C)/2)^2 + beta C (1 - r^2) t^2/(1 - t^2).
+
+So are the eigenvalues of D = c H_q - F_N, which the dominance scan judges.  Even N:
+(c - b)/(1 - r^2) along v and c - a twice.  Odd N: D = kappa I + p v v^T + q a a^T with
+kappa = c - N + 1 - A, p = (c - N + 1)/(1 - r^2) - B and q = -C/(1 - t^2), so they are
+kappa and kappa + m -+ sqrt(d), m = (p r^2 + q)/2, d = ((p r^2 - q)/2)^2 + p q t^2.
+Both odd-N cases are k I plus a rank-two M on span(v, a) with tr M = 2m and
+m^2 - det M = d; the third eigenvector is v x a.
 """
 
 from __future__ import annotations
@@ -159,11 +166,12 @@ def _residual4(x, y, z):
 def _odd_profile(n_copies: int, r2):
     """(A, B, C) with R_N = A I + B v v^T + C J / (3 - s^2) for N = 3, 5.
 
-    Integer literals keep the profile exact when ``r2`` is a Fraction.
+    Exact when ``r2`` is a Fraction: constants are taken in the type of ``r2``.
     """
+    one = r2 ** 0
     if n_copies == 3:
-        return -0.5, 0.0, (1 - r2) / 2
-    return -3 * (5 + 3 * r2) / 16, 7 / 8, 5 * (1 - r2) ** 2 / 16
+        return -one / 2, 0 * one, (1 - r2) / 2
+    return -3 * (5 + 3 * r2) / 16, 7 * one / 8, 5 * (1 - r2) ** 2 / 16
 
 
 def _residual_odd(n_copies: int, x, y, z):
@@ -243,7 +251,7 @@ def _even_profile(n_copies: int, r2):
     profiles in r^2 carry the whole matrix; N = 2 is H_q itself.  Exact on Fractions.
     """
     if n_copies == 2:
-        return 1.0, 1.0
+        return r2 ** 0, r2 ** 0
     if n_copies == 4:
         return (29 + 7 * r2) / 12, (29 - 5 * r2) / 12
     if n_copies == 6:
@@ -259,16 +267,43 @@ def _ratio_spectrum(n_copies: int, r2, t2) -> tuple:
     if n_copies % 2 == 0:
         b, a = _even_profile(n_copies, r2)
         return np.broadcast_arrays(a, a, b)
-    lam0, m, d = _odd_ratio_parts(n_copies, *_odd_profile(n_copies, r2), r2, t2)
-    root = np.sqrt(d)
-    return np.broadcast_arrays(lam0, lam0 + m - root, lam0 + m + root)
+    return _odd_spectrum(*_odd_ratio_parts(n_copies, *_odd_profile(n_copies, r2), r2, t2))
+
+
+def _difference_spectrum(n_copies: int, scalar, r2, t2) -> tuple:
+    """The three eigenvalues of scalar * H_q - F_N at r^2 = v.v, t^2 = (a.v)^2, as arrays."""
+    if n_copies not in SUPPORTED_MATRICES:
+        _raise_unsupported(n_copies)
+    if n_copies % 2 == 0:
+        b, a = _even_profile(n_copies, r2)
+        return np.broadcast_arrays(scalar - a, scalar - a, (scalar - b) / (1 - r2))
+    profile = _odd_profile(n_copies, r2)
+    return _odd_spectrum(*_odd_difference_parts(n_copies, scalar, *profile, r2, t2))
+
+
+def _odd_spectrum(k, m, d):
+    # d >= 0 exactly; the clip keeps roundoff near d = 0 from giving NaN
+    root = np.sqrt(np.maximum(d, 0.0))
+    return np.broadcast_arrays(k, k + m - root, k + m + root)
 
 
 def _odd_ratio_parts(n_copies: int, a, b, c, r2, t2):
     """(lam0, m, d) of the module docstring from the profile (A, B, C); exact on Fractions."""
     beta = b * (1 - r2) - a
-    d = ((beta * r2 - c) / 2) ** 2 + beta * c * (1 - r2) * t2 / (1 - t2)
-    return n_copies - 1 + a, (beta * r2 + c) / 2, d
+    return _plane_parts(n_copies - 1 + a, beta * r2, c, beta * c * (1 - r2) * t2 / (1 - t2))
+
+
+def _odd_difference_parts(n_copies: int, scalar, a, b, c, r2, t2):
+    """(kappa, m, d) of the module docstring for scalar * H_q - F_N; exact on Fractions."""
+    excess = scalar - n_copies + 1
+    p = excess / (1 - r2) - b
+    q = -c / (1 - t2)
+    return _plane_parts(excess - a, p * r2, q, p * q * t2)
+
+
+def _plane_parts(k, u, w, cross):
+    """(k, m, d) for k I + M, M of rank two with tr M = u + w and det M = u w - cross."""
+    return k, (u + w) / 2, ((u - w) / 2) ** 2 + cross
 
 
 def fisher_spherical_diag(n_copies: int, s: BlochSpherical) -> InfoMatrix:

@@ -2,6 +2,8 @@
 
 import io
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -313,6 +315,57 @@ class TestDominanceListing:
         # this rewrite itself is off by up to 5e-11, which can cross a bin.)
         assert scan_dominance(n, loose).violating_points == _matrix_listing(
             n, loose, _invariant_even_fisher)
+
+
+def _difference_matrices(n, scalar, pts):
+    """scalar H_q - F_N as (scalar - N + 1) H_q - R_N, with R_2 = 0.
+
+    Forming scalar H_q - F_N entry by entry cancels scalar H_q against
+    (N - 1) H_q: for N = 2 at c = 1 - 1e-6 that alone is off by 6e-11 on the grid.
+    """
+    residual = 0.0 if n == 2 else povm.residual_batch(n, pts)
+    return (scalar - n + 1) * infogeo.helstrom_batch(pts) - residual
+
+
+class TestDominanceSpectrum:
+    """The scan's closed-form eigenvalues of c H_q - F_N against 3x3 eigvalsh."""
+
+    @pytest.mark.parametrize("n, loose", SCAN_CASES)
+    def test_scaled_minimum_matches_eigvalsh_on_the_grid(self, n, loose):
+        pts = analysis.ball_grid()
+        for scalar in _scan_scalars(n, loose):
+            got = analysis._scaled_min_difference(n, scalar, pts)
+            want = analysis._scaled_min_eigs(_difference_matrices(n, scalar, pts))
+            assert np.max(np.abs(got - want)) <= 1e-12
+            assert scan_dominance(n, scalar).n_violations == np.count_nonzero(
+                want < -analysis.PSD_TOL)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @given(st.floats(0.0, 0.999), st.floats(0.0, math.pi),
+           st.floats(0.0, 2 * math.pi, exclude_max=True),
+           st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+    @settings(max_examples=100, deadline=None)
+    def test_scaled_minimum_matches_eigvalsh_anywhere(self, n, r, theta, phi, offset):
+        v = bloch.to_cartesian(BlochSpherical(r, theta, phi)).as_array()[None]
+        got = analysis._scaled_min_difference(n, n + offset, v)
+        want = analysis._scaled_min_eigs(_difference_matrices(n, n + offset, v))
+        assert abs(got[0] - want[0]) <= 1e-12
+
+    def test_equal_matrices_scan_as_zero(self):
+        # 1 H_q - F_2 vanishes everywhere: no violation, and no 0/0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = scan_dominance(2, 1.0)
+        assert report.min_eigenvalue_found == 0.0 and report.n_violations == 0
+
+    @pytest.mark.parametrize("n, message", [
+        (1, "closed-form Fisher matrices exist for N in (2, 3, 4, 5, 6), got 1"),
+        (7, "N = 7 is reference-trace-only: no closed-form Fisher matrix is available, "
+            "only gm_trace_reference and the limiting entries"),
+    ])
+    def test_unsupported_copy_counts(self, n, message):
+        with pytest.raises(povm.UnsupportedNError, match=f"^{re.escape(message)}$"):
+            scan_dominance(n, 4.0)
 
 
 class TestBoundaryRadius:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qig import acceptance, analysis, coding, povm
+from qig import acceptance, coding, infogeo, povm
 from qig.cli import build_parser, main
 
 
@@ -94,19 +94,28 @@ class TestDominanceCommand:
         assert payload["scalar_bound"] <= 3.0 + 1e-3
         assert payload["violations"] == []
 
-    def test_tight_scalar_scan_evaluates_the_matrices_once(self, capsys, monkeypatch):
-        # the scalar comes from the closed-form spectrum; only the scan needs F_N
+    def test_tight_scalar_scan_builds_no_matrices(self, capsys, monkeypatch):
+        # the scalar and the scan both read closed-form spectra; neither needs H_q or F_N
         sizes = []
-        kernel = povm.closed_form_batch
 
-        def counting(n, xyz):
-            sizes.append(np.asarray(xyz).size // 3)
-            return kernel(n, xyz)
+        def counting(kernel):
+            def wrapped(*args):
+                sizes.append(np.asarray(args[-1]).size // 3)
+                return kernel(*args)
+            return wrapped
 
-        monkeypatch.setattr(povm, "closed_form_batch", counting)
+        monkeypatch.setattr(povm, "closed_form_batch", counting(povm.closed_form_batch))
+        monkeypatch.setattr(infogeo, "helstrom_batch", counting(infogeo.helstrom_batch))
         code, out = run_cli(capsys, "dominance", "--n", "6")
         assert code == 0 and json.loads(out)["n_violations"] == 0
-        assert sizes == [len(analysis.ball_grid())]
+        assert sizes == []
+
+    def test_copy_count_seven_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["dominance", "--n", "7", "--scalar", "6"])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.count("error:") == 1 and "invalid choice: 7" in stderr
 
     @pytest.mark.parametrize("scalar", ["nan", "inf"])
     def test_non_finite_scalar_is_usage_error(self, capsys, scalar):

@@ -241,7 +241,7 @@ _PAPER_RESIDUALS = {3: _paper_r3, 4: _paper_r4, 5: _paper_r5, 6: _paper_r6}
 
 def _invariant_exact(n, v):
     """A I + B v v^T + C J / (3 - s^2) from povm's odd-N profile, in Fractions."""
-    a, b, c = (Fraction(t) for t in povm._odd_profile(n, sum(t * t for t in v)))
+    a, b, c = povm._odd_profile(n, sum(t * t for t in v))
     k = c / (3 - sum(v) ** 2)
     return [[a * (i == j) + b * v[i] * v[j] + k for j in range(3)] for i in range(3)]
 
@@ -257,6 +257,11 @@ def rational_points(n=60, seed=11):
 
 
 class TestOddResidualOracle:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_profiles_are_exact_on_fractions(self, n):
+        profile = povm._odd_profile if n % 2 else povm._even_profile
+        assert all(type(t) is Fraction for t in profile(n, Fraction(1, 4)))
+
     @pytest.mark.parametrize("n", [3, 5])
     def test_invariant_form_equals_paper_cells_exactly(self, n):
         for v in rational_points():
@@ -309,8 +314,7 @@ def _spectrum_sum_product(n, r2, t2):
     if n % 2 == 0:
         lam = [x.item() for x in povm._ratio_spectrum(n, r2, t2)]
         return sum(lam), lam[0] * lam[1] * lam[2]
-    profile = (Fraction(t) for t in povm._odd_profile(n, r2))
-    lam0, m, d = povm._odd_ratio_parts(n, *profile, r2, t2)
+    lam0, m, d = povm._odd_ratio_parts(n, *povm._odd_profile(n, r2), r2, t2)
     return 3 * lam0 + 2 * m, lam0 * ((lam0 + m) ** 2 - d)
 
 
@@ -357,6 +361,30 @@ class TestRatioSpectrum:
             got = math.prod(povm._ratio_spectrum(n, r2, t2))
             _, want = _spectrum_sum_product(n, Fraction(r2), Fraction(t2))
             assert abs(got - want) <= 1e-14 * want, (t2, float((got - want) / want))
+
+
+def _difference_sum_product(n, scalar, r2, t2):
+    """Sum and product of povm's eigenvalues of scalar H_q - F_N, exact on Fractions."""
+    if n % 2 == 0:
+        lam = [x.item() for x in povm._difference_spectrum(n, scalar, r2, t2)]
+        return sum(lam), lam[0] * lam[1] * lam[2]
+    k, m, d = povm._odd_difference_parts(n, scalar, *povm._odd_profile(n, r2), r2, t2)
+    return 3 * k + 2 * m, k * ((k + m) ** 2 - d)
+
+
+class TestDifferenceSpectrum:
+    """The eigenvalues of c H_q - F_N that the dominance scan judges."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_sum_and_product_match_the_paper_cells_exactly(self, n):
+        for scalar in (n - 1 - Fraction(1, 3), n - Fraction(1, 1000), n + Fraction(2, 7)):
+            for v in spectrum_points():
+                r2 = sum(t * t for t in v)
+                f = _paper_fisher(n, v)
+                d = [[scalar * ((i == j) + v[i] * v[j] / (1 - r2)) - f[i][j]
+                      for j in range(3)] for i in range(3)]
+                assert _difference_sum_product(n, scalar, r2, sum(v) ** 2 / 3) == (
+                    sum(d[i][i] for i in range(3)), _det3(d)), (scalar, v)
 
 
 class TestSphericalDiag:
