@@ -82,6 +82,9 @@ EDGE_DIRECTIONS = (
 )
 #: eigenvalue tolerance for PSD decisions on unit-Frobenius-scaled matrices
 PSD_TOL = 1e-10
+#: largest |scalar| scan_dominance accepts: its closed-form spectrum squares
+#: scalar/(1 - r^2), which stays finite up to here for every grid radius r < 1
+MAX_SCALAR = 1e100
 #: fixed non-degenerate direction used when a curve depends on r only
 THETA0, PHI0 = 1.1, 0.7
 
@@ -97,7 +100,7 @@ class NonConvergenceError(RuntimeError):
 def _gm_trace_batch(metric, n_copies: int, xyz) -> np.ndarray:
     """gm_trace at points of shape (..., 3), all with 0 < r < 1."""
     xyz = np.asarray(xyz, dtype=float)
-    r2 = np.sum(xyz * xyz, axis=-1)
+    r2, _ = _invariants(xyz)
     if np.any(r2 >= 1.0):
         raise PureStateError("gm_trace needs r < 1; use limit_trace('pure')")
     if np.any(r2 <= 0.0):
@@ -263,6 +266,22 @@ def _halton(n: int) -> np.ndarray:
     return u
 
 
+@lru_cache(maxsize=4)
+def _halton_directions(n: int) -> tuple:
+    """(cos t, sin t, cos phi, sin phi) of the first n Halton points, read-only.
+
+    Only the radius of a ball_grid point depends on its region, so the
+    direction columns are derived once per n, beside the cached draw.
+    """
+    u = _halton(n)
+    cos_t = 2.0 * u[:, 1] - 1.0
+    phi = 2.0 * math.pi * u[:, 2]
+    columns = (cos_t, np.sqrt(1.0 - cos_t ** 2), np.cos(phi), np.sin(phi))
+    for column in columns:
+        column.flags.writeable = False
+    return columns
+
+
 def ball_grid(region: tuple[float, float] = (0.0, 0.999),
               n_points: int = GRID_POINTS,
               edge_points: int = EDGE_POINTS) -> np.ndarray:
@@ -271,24 +290,28 @@ def ball_grid(region: tuple[float, float] = (0.0, 0.999),
     Low-discrepancy (scrambled Halton, seed GRID_SEED) points uniform in
     volume over the shell, plus ``edge_points`` radii packed geometrically
     against the outer radius along each of EDGE_DIRECTIONS -- dominance
-    violations concentrate at nearly pure states.
+    violations concentrate at nearly pure states.  Every call returns a
+    fresh, writable array.
     """
     lo, hi = float(region[0]), float(region[1])
     if not 0.0 <= lo < hi:
         raise ValueError(f"bad region {region}")
     if hi >= 1.0:
         raise ValueError("scan region must stay strictly inside the ball (hi < 1)")
-    u = _halton(n_points)
-    r = np.cbrt(lo ** 3 + u[:, 0] * (hi ** 3 - lo ** 3))
-    cos_t = 2.0 * u[:, 1] - 1.0
-    sin_t = np.sqrt(1.0 - cos_t ** 2)
-    phi = 2.0 * math.pi * u[:, 2]
-    pts = np.column_stack([r * cos_t, r * sin_t * np.cos(phi), r * sin_t * np.sin(phi)])
+    cos_t, sin_t, cos_phi, sin_phi = _halton_directions(n_points)
+    r = np.cbrt(lo ** 3 + _halton(n_points)[:, 0] * (hi ** 3 - lo ** 3))
+    pts = np.empty((n_points + len(EDGE_DIRECTIONS) * edge_points, 3))
+    x, y, z = pts[:n_points].T
+    np.multiply(r, cos_t, out=x)
+    r_sin_t = r * sin_t
+    np.multiply(r_sin_t, cos_phi, out=y)
+    np.multiply(r_sin_t, sin_phi, out=z)
     if edge_points:
         gap = np.geomspace(1e-7, max(hi - lo, 1e-3) * 0.1, edge_points)
         radii = np.clip(hi - gap, lo, hi)
-        lines = [np.outer(radii, d) for d in EDGE_DIRECTIONS]
-        pts = np.vstack([pts] + lines)
+        lines = pts[n_points:].reshape(len(EDGE_DIRECTIONS), edge_points, 3)
+        for line, d in zip(lines, EDGE_DIRECTIONS):
+            np.multiply(radii[:, None], d, out=line)
     return pts
 
 
@@ -314,14 +337,18 @@ class DominanceReport:
 
 def _invariants(pts: np.ndarray) -> tuple:
     """(r^2, t^2) at points of shape (..., 3): t = a.v, a = (1,1,1)/sqrt(3)."""
-    return np.sum(pts * pts, axis=-1), np.sum(pts, axis=-1) ** 2 / 3.0
+    x, y, z = np.moveaxis(pts, -1, 0)
+    return x * x + y * y + z * z, (x + y + z) ** 2 / 3.0
 
 
 def _scaled_min_difference(n_copies: int, scalar: float, pts: np.ndarray) -> np.ndarray:
     """_scaled_min_eigs of scalar*H_q - F_N at each point, from its closed-form spectrum."""
-    lam = np.array(povm._difference_spectrum(n_copies, scalar, *_invariants(pts)))
-    norms = np.sqrt(np.sum(lam * lam, axis=0))
-    return lam.min(axis=0) / np.where(norms == 0.0, 1.0, norms)
+    l0, l1, l2 = povm._difference_spectrum(n_copies, scalar, *_invariants(pts))
+    norms = np.sqrt(l0 * l0 + l1 * l1 + l2 * l2)
+    if not np.isfinite(norms).all():
+        raise RuntimeError(f"the spectrum of {scalar!r}*H_q - F_{n_copies} is not finite "
+                           "on the scan grid, so no point can be judged")
+    return np.minimum(np.minimum(l0, l1), l2) / np.where(norms == 0.0, 1.0, norms)
 
 
 def scan_dominance(n_copies: int, scalar: float,
@@ -336,7 +363,12 @@ def scan_dominance(n_copies: int, scalar: float,
     rounded to 9 decimals, ties in grid order: points of equal radius on the
     EDGE_DIRECTIONS lines have equal eigenvalues for every even N, and
     roundoff must not decide which of them are listed.
+
+    |scalar| above MAX_SCALAR raises ValueError; a spectrum that is not
+    finite anyway raises RuntimeError rather than pass as no violation.
     """
+    if not abs(scalar) <= MAX_SCALAR:
+        raise ValueError(f"|scalar| must be at most {MAX_SCALAR:g}, got {scalar!r}")
     pts = ball_grid(region)
     eigs = _scaled_min_difference(n_copies, scalar, pts)
     bad = np.flatnonzero(eigs < -tol)
@@ -344,7 +376,7 @@ def scan_dominance(n_copies: int, scalar: float,
     return DominanceReport(
         scalar_bound=float(scalar),
         min_eigenvalue_found=float(eigs.min()),
-        violating_points=[BlochCartesian(*pts[i]) for i in order],
+        violating_points=[BlochCartesian(*p) for p in pts[order].tolist()],
         region=(float(region[0]), float(region[1])),
         n_violations=int(bad.size),
     )
@@ -362,7 +394,8 @@ def min_dominating_scalar(n_copies: int,
     if n_copies not in (3, 4, 5, 6):
         raise povm.UnsupportedNError(
             f"dominating-scalar search needs a closed-form matrix, N in 3..6, got {n_copies}")
-    c = float(np.max(povm._ratio_spectrum(n_copies, *_invariants(ball_grid(region)))))
+    lam = povm._ratio_spectrum(n_copies, *_invariants(ball_grid(region)))
+    c = float(np.max([l.max() for l in lam]))
     if c > n_copies:
         raise RuntimeError(f"{n_copies}*H_q fails to dominate F_{n_copies} (c = {c!r}); "
                            "the Cramer-Rao cap must hold, so the grid or matrices are wrong")

@@ -46,7 +46,26 @@ def interior_points(n=30, seed=9):
     return pts
 
 
+def _summed_gm_trace(metric, n, xyz):
+    """_gm_trace_batch as first written, r^2 from np.sum: the bit-for-bit oracle."""
+    r2 = np.sum(xyz * xyz, axis=-1)
+    f = povm.closed_form_batch(n, xyz)
+    q = np.einsum("...i,...ij,...j->...", xyz, f, xyz) / r2
+    a = infogeo._angular_scale(infogeo.as_metric_kind(metric), np.sqrt(r2))
+    return (1.0 - r2) * q + (np.trace(f, axis1=-2, axis2=-1) - q) / a
+
+
 class TestGmTrace:
+    @pytest.mark.parametrize("metric", ["helstrom", "yuen_lax", "quasi_bures"])
+    def test_matches_the_summed_form_bit_for_bit(self, metric):
+        pts = analysis.ball_grid()
+        for n in (2, 3, 4, 5, 6):
+            assert np.array_equal(analysis._gm_trace_batch(metric, n, pts),
+                                  _summed_gm_trace(metric, n, pts))
+            for v in interior_points(5):
+                assert gm_trace(metric, n, BlochCartesian(*v)) == float(
+                    _summed_gm_trace(metric, n, v))
+
     def test_two_copies_give_three_everywhere(self):
         for v in interior_points(10):
             assert gm_trace("helstrom", 2, BlochCartesian(*v)) == pytest.approx(3.0)
@@ -358,6 +377,32 @@ class TestDominanceSpectrum:
             report = scan_dominance(2, 1.0)
         assert report.min_eigenvalue_found == 0.0 and report.n_violations == 0
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("scalar", [1e200, -1e200, 1e308, -1e308])
+    def test_huge_scalar_is_rejected_before_it_overflows(self, n, scalar):
+        # squared, eigenvalues of order |c|/(1 - r^2) overflow: the norm went
+        # to inf and every point scanned as -0.0 or NaN, i.e. no violation
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"at most 1e\+100"):
+                scan_dominance(n, scalar)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_largest_scalar_stays_finite_next_to_the_pure_states(self, n):
+        region = (0.0, float(np.nextafter(1.0, 0.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            above = scan_dominance(n, analysis.MAX_SCALAR, region)
+            below = scan_dominance(n, -analysis.MAX_SCALAR, region)
+        assert above.n_violations == 0 and above.min_eigenvalue_found > 0.0
+        assert below.n_violations == len(analysis.ball_grid(region))
+
+    def test_spectrum_that_is_not_finite_raises(self, monkeypatch):
+        monkeypatch.setattr(povm, "_difference_spectrum",
+                            lambda n, c, r2, t2: np.broadcast_arrays(-1.0, 1.0, np.inf + 0 * r2))
+        with pytest.raises(RuntimeError, match="not finite"):
+            scan_dominance(6, 4.99)
+
     @pytest.mark.parametrize("n, message", [
         (1, "closed-form Fisher matrices exist for N in (2, 3, 4, 5, 6), got 1"),
         (7, "N = 7 is reference-trace-only: no closed-form Fisher matrix is available, "
@@ -531,6 +576,15 @@ class TestCurves:
         for t in tables:
             assert t.value[-1] == pytest.approx(1.0, abs=1e-4)
 
+    def test_qb_scaled_matches_the_summed_trace_bit_for_bit(self):
+        grid = np.linspace(0.005, 0.995, 199)
+        st = math.sin(analysis.THETA0)
+        xyz = grid[:, None] * [math.cos(analysis.THETA0), st * math.cos(analysis.PHI0),
+                               st * math.sin(analysis.PHI0)]
+        for t in curve_sample("qb_scaled"):
+            n = int(t.label.split("_N")[1].split("_")[0])
+            assert np.array_equal(t.value, _summed_gm_trace("quasi_bures", n, xyz) / t.scaling)
+
     def test_unknown_quantity(self):
         with pytest.raises(ValueError):
             curve_sample("nonsense")
@@ -577,7 +631,63 @@ class TestCurveTable:
         assert float(v) == pytest.approx(1.234567891, abs=1e-8)
 
 
+def _column_stack_grid(region, n_points=analysis.GRID_POINTS,
+                       edge_points=analysis.EDGE_POINTS):
+    """ball_grid as first written: directions from the Halton draw on every call."""
+    lo, hi = region
+    u = analysis._halton(n_points)
+    r = np.cbrt(lo ** 3 + u[:, 0] * (hi ** 3 - lo ** 3))
+    cos_t = 2.0 * u[:, 1] - 1.0
+    sin_t = np.sqrt(1.0 - cos_t ** 2)
+    phi = 2.0 * math.pi * u[:, 2]
+    pts = np.column_stack([r * cos_t, r * sin_t * np.cos(phi), r * sin_t * np.sin(phi)])
+    if edge_points:
+        gap = np.geomspace(1e-7, max(hi - lo, 1e-3) * 0.1, edge_points)
+        radii = np.clip(hi - gap, lo, hi)
+        lines = [np.outer(radii, d) for d in analysis.EDGE_DIRECTIONS]
+        pts = np.vstack([pts] + lines)
+    return pts
+
+
+def _bit_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a, b) and np.array_equal(
+        np.signbit(a), np.signbit(b))
+
+
 class TestBallGrid:
+    @pytest.mark.parametrize("region", [(0.0, 0.999), (0.2, 0.8), (0.5, 0.9), (0.0, 0.5)])
+    @pytest.mark.parametrize("n_points, edge_points", [
+        (analysis.GRID_POINTS, analysis.EDGE_POINTS), (analysis.GRID_POINTS, 0), (1000, 17)])
+    def test_matches_the_column_stack_construction(self, region, n_points, edge_points):
+        got = analysis.ball_grid(region, n_points, edge_points)
+        assert _bit_equal(got, _column_stack_grid(region, n_points, edge_points))
+
+    @pytest.mark.parametrize("shape", [(3,), (4864, 3), (7, 11, 3)])
+    def test_invariants_match_the_summed_form(self, shape):
+        pts = np.random.default_rng(3).uniform(-0.6, 0.6, shape)
+        pts.reshape(-1)[::4] = -0.0
+        r2, t2 = analysis._invariants(pts)
+        assert _bit_equal(r2, np.sum(pts * pts, axis=-1))
+        assert _bit_equal(t2, np.sum(pts, axis=-1) ** 2 / 3.0)
+
+    def test_invariants_on_the_grid(self):
+        pts = analysis.ball_grid()
+        r2, t2 = analysis._invariants(pts)
+        assert _bit_equal(r2, np.sum(pts * pts, axis=-1))
+        assert _bit_equal(t2, np.sum(pts, axis=-1) ** 2 / 3.0)
+
+    def test_cached_directions_are_read_only(self):
+        for column in analysis._halton_directions(analysis.GRID_POINTS):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+
+    def test_returned_grid_is_fresh_and_writable(self):
+        first = analysis.ball_grid()
+        want = first.copy()
+        first[:] = np.nan
+        assert _bit_equal(analysis.ball_grid(), want)
+
     def test_deterministic(self):
         a = analysis.ball_grid((0.0, 0.99))
         b = analysis.ball_grid((0.0, 0.99))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qig import acceptance, coding, infogeo, povm
-from qig.cli import build_parser, main
+from qig.cli import MAX_GRID, build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -124,6 +124,20 @@ class TestDominanceCommand:
         assert err.value.code == 2
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scalar", ["1e200", "-1e200", "1e308", "-1e308"])
+    def test_huge_scalar_is_usage_error(self, capsys, scalar):
+        # eigenvalues of order |c|/(1 - r^2) overflow when squared; the scan
+        # must not report "no violation" from them
+        with pytest.raises(SystemExit) as err:
+            main(["dominance", "--n", "6", f"--scalar={scalar}"])
+        assert err.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.count("error:") == 1 and "must be within +-1e+100" in stderr
+
+    def test_largest_scalar_is_accepted(self, capsys):
+        code, out = run_cli(capsys, "dominance", "--n", "6", "--scalar=-1e100")
+        assert code == 0 and json.loads(out)["n_violations"] == 4864
+
 
 class TestCurvesCommand:
     def test_figure_one_csv(self, capsys):
@@ -132,6 +146,18 @@ class TestCurvesCommand:
         assert code == 0
         assert lines[0] == "r,value,label"
         assert len(lines) == 1 + 4 * 10
+
+    @pytest.mark.parametrize("grid", [str(MAX_GRID + 1), "100000000"])
+    def test_grid_above_cap_is_usage_error(self, capsys, grid):
+        # parse only: a grid above the cap must never be allocated
+        with pytest.raises(SystemExit) as err:
+            build_parser().parse_args(["curves", "--figure", "2", "--grid", grid])
+        assert err.value.code == 2
+        assert capsys.readouterr().err.count("error:") == 1
+
+    def test_grid_cap_is_accepted(self):
+        args = build_parser().parse_args(["curves", "--figure", "2", "--grid", str(MAX_GRID)])
+        assert args.grid == MAX_GRID
 
     def test_figure_three_ordering(self, capsys):
         code, out = run_cli(capsys, "curves", "--figure", "3", "--grid", "10")
