@@ -7,7 +7,7 @@ returning (passed, detail); the CLI prints one ledger line per check and
 the test suite asserts each one, so both surfaces run the same code.
 
 Reference targets appearing here (pi^2, 21.0235, 35.0281, 51.0763, 69.1253,
-0.992348, 0.395121, 144.372, 0.0832258, the 2N-1 and N-1 trace limits, ...)
+88.8621, 0.992348, 0.395121, 144.372, 0.0832258, the 2N-1 and N-1 trace limits, ...)
 are the tabulated values this package is built to reproduce.
 """
 
@@ -121,12 +121,12 @@ def check_gm_traces(n_points=100):
     worst = 0.0
     for v in _interior_points(n_points):
         c = bloch.BlochCartesian(*v)
-        for n in (2, 3, 4, 5, 6):
+        for n in range(2, 8):
             got = analysis.gm_trace(infogeo.HELSTROM, n, c)
             ref = povm.gm_trace_reference(n, c.r)
             worst = max(worst, abs(got - ref) / abs(ref))
     worst_lim = 0.0
-    for n in (2, 3, 4, 5, 6):
+    for n in range(2, 8):
         pure = analysis.limit_trace(infogeo.HELSTROM, n, "pure")
         mixed = analysis.limit_trace(infogeo.HELSTROM, n, "mixed")
         worst_lim = max(worst_lim,
@@ -140,7 +140,8 @@ def check_gm_traces(n_points=100):
                 f"{worst_lim:.2e} (<=1e-5), GM_7 endpoints {gm7_pure}, {gm7_mixed}")
 
 
-_VOLUME_TARGETS = {2: math.pi ** 2, 3: 21.0235, 4: 35.0281, 5: 51.0763, 6: 69.1253}
+_VOLUME_TARGETS = {2: math.pi ** 2, 3: 21.0235, 4: 35.0281, 5: 51.0763, 6: 69.1253,
+                   7: 88.8621}
 
 
 def check_volume_integrals():
@@ -152,7 +153,6 @@ def check_volume_integrals():
         tol = 1e-6 if n == 2 else 5e-4
         ok &= rel <= tol
         details.append(f"N={n}: {v:.5f} vs {target:.5f} rel {rel:.1e} (<={tol:g})")
-    details.append("N=7 (88.8621) not reproducible: no closed-form matrix")
     return ok, "; ".join(details)
 
 

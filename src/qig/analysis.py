@@ -391,9 +391,10 @@ def min_dominating_scalar(n_copies: int,
     (``povm`` module docstring).  The Cramer-Rao bound guarantees c <= N.
     Enlarging the region can only raise c.
     """
-    if n_copies not in (3, 4, 5, 6):
+    if n_copies not in povm.SUPPORTED_MATRICES[1:]:
         raise povm.UnsupportedNError(
-            f"dominating-scalar search needs a closed-form matrix, N in 3..6, got {n_copies}")
+            f"dominating-scalar search needs a closed-form matrix, N in "
+            f"3..{povm.SUPPORTED_MATRICES[-1]}, got {n_copies}")
     lam = povm._ratio_spectrum(n_copies, *_invariants(ball_grid(region)))
     c = float(np.max([l.max() for l in lam]))
     if c > n_copies:
@@ -492,13 +493,12 @@ def _volume_at_order(n_copies: int, order: int) -> float:
 
 
 def volume_integral(n_copies: int, quad: QuadratureSpec = QuadratureSpec()) -> float:
-    """Integral of sqrt(det F_N) over the unit ball, N in 2..6.
+    """Integral of sqrt(det F_N) over the unit ball, N in povm.SUPPORTED_MATRICES.
 
     Returns the refined value after checking that two successive quadrature
     orders agree to quad.rtol relative; raises NonConvergenceError otherwise.
     """
-    if n_copies not in povm.SUPPORTED_MATRICES:
-        povm._raise_unsupported(n_copies)
+    povm._check_matrix(n_copies)
     coarse = _volume_at_order(n_copies, quad.order)
     fine = _volume_at_order(n_copies, math.ceil(1.5 * quad.order))
     if abs(fine - coarse) > quad.rtol * abs(fine):

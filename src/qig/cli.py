@@ -235,14 +235,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fisher", help="closed-form Fisher matrix of the optimal "
                                       "N-copy measurement")
-    p.add_argument("--n", type=int, choices=(2, 3, 4, 5, 6), required=True)
+    p.add_argument("--n", type=int, choices=povm.SUPPORTED_MATRICES, required=True)
     p.add_argument("--point", type=_parse_point, required=True, metavar="X,Y,Z")
     p.set_defaults(fn=cmd_fisher)
 
     p = sub.add_parser("gm-trace", help="trace(G(metric)^-1 F_N) at a state")
     p.add_argument("--metric", choices=("helstrom", "yuen-lax", "quasi-bures"),
                    required=True)
-    p.add_argument("--n", type=int, choices=(2, 3, 4, 5, 6), required=True)
+    p.add_argument("--n", type=int, choices=povm.SUPPORTED_MATRICES, required=True)
     p.add_argument("--r", type=float, required=True)
     p.add_argument("--theta", type=float, default=math.pi / 2,
                    help="x-polar colatitude (default pi/2; odd-N non-Helstrom "
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gm_trace)
 
     p = sub.add_parser("dominance", help="scan c*H_q - F_N >= 0 over a radial region")
-    p.add_argument("--n", type=int, choices=(3, 4, 5, 6), required=True)
+    p.add_argument("--n", type=int, choices=povm.SUPPORTED_MATRICES[1:], required=True)
     p.add_argument("--rmax", type=float, default=0.999)
     p.add_argument("--scalar", type=_scalar,
                    help=f"scalar c to test, |c| <= {analysis.MAX_SCALAR:g} "
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_bound_radius)
 
     p = sub.add_parser("volume", help="integral of sqrt(det F_N) over the ball")
-    p.add_argument("--n", type=int, choices=(2, 3, 4, 5, 6), required=True)
+    p.add_argument("--n", type=int, choices=povm.SUPPORTED_MATRICES, required=True)
     spec = analysis.QuadratureSpec
     p.add_argument("--order", type=_at_least(spec.MIN_ORDER, spec.MAX_ORDER), default=48,
                    help=f"quadrature order ({spec.MIN_ORDER}..{spec.MAX_ORDER})")

@@ -4,15 +4,25 @@ For N = 2 and 3 copies of a two-level system the optimal joint (covariant)
 measurements reduce to explicit outcome distributions over the Bloch ball
 (five outcomes for N = 2, eight for N = 3); these are exposed as
 :class:`~qig.infogeo.ProbModel` instances so the generic Fisher engine
-applies.  For N = 3..6 the Fisher information matrices are given in closed
-form as
+applies.
 
-    F_N = (N-1) * H_q + R_N,
+The Fisher matrices F_N of the optimal measurements (Vidal, Latorre, Pascual
+and Tarrach, PRA 60, 126, 1999) come from one sum over the spin-j sectors of
+rho^(x)N, for every N in SUPPORTED_MATRICES.  Sector j has multiplicity
+d_j = C(N, N/2-j) - C(N, N/2-j-1), outcome density (2j+1) d_j g^(N/2-j) q^(2j)
+over spin-coherent directions n, g = (1 - r^2)/4, q = (1 + n.v)/2, and score
+u = -2 (N/2-j) v/(1 - r^2) + j n/q.  For j >= 1 that is the continuous
+covariant measurement: its Fisher matrix averages over c = n.v/r, uniform on
+[-1, 1], and combines I and v v^T.  For odd N, j = 1/2 measures the pair +-a,
+a = (1,1,1)/sqrt(3), with probabilities d_1/2 g^k (1 +- a.v)/2, k = (N-1)/2,
+and adds C J/(3 - s^2) besides, s = x + y + z, J the all-ones matrix.  So
 
-with R_N a negative-semidefinite "residual" that shrinks (relative to H_q)
-as N grows.  For N = 7 no matrix is available -- only the Gill-Massar trace
-polynomial and the limiting entries -- so requesting the matrix raises
-:class:`UnsupportedNError`.
+    F_N = (N-1) H_q + R_N,   R_N = A(r^2) I + B(r^2) v v^T + C(r^2) J/(3 - s^2),
+
+C = d_1/2 g^k for odd N and 0 for even N.  A and B are polynomials in r^2,
+derived once per N in exact rationals (:func:`_sectors`).  They reproduce the
+paper's cells for N = 3..6, which the tests keep as the exact oracle, and
+their float error stays within 8e-16 up to N = 20.
 
 The closed forms are array kernels: :func:`closed_form_batch` and
 :func:`residual_batch` map points of shape (..., 3) to (..., 3, 3), and
@@ -20,27 +30,9 @@ The closed forms are array kernels: :func:`closed_form_batch` and
 functions validate a single state, call the kernel and wrap the result in
 an ``InfoMatrix``.
 
-Odd N in invariant form: for odd N the optimal measurement has a spin-1/2
-sector that measures the pair +-a, a = (1,1,1)/sqrt(3), with outcome
-probabilities c g^k (1 +- a.v)/2, g = (1 - r^2)/4, k = (N-1)/2 (c = 2 for
-N = 3, 5 for N = 5).  That pair contributes c g^k [alpha^2 v v^T + J/(3 - s^2)],
-alpha = (N-1)/(1 - r^2), s = x + y + z and J the all-ones matrix; every
-other sector has a rotation-invariant Fisher matrix, a combination of I and
-v v^T.  So
-
-    R_N = A(r^2) I + B v v^T + C(r^2) J / (3 - s^2),
-
-    N = 3:  A = -1/2,               B = 0,    C = (1 - r^2)/2,
-    N = 5:  A = -(3/16)(5 + 3 r^2), B = 7/8,  C = (5/16)(1 - r^2)^2,
-
-and the (x+y+z)^2 - 3 denominators of the paper's cells all come from the
-pair.  The paper's literal cells, with the permutation completion of the
-N = 5 (1,1) and (1,2) cells, live in the tests as the oracle this form is
-checked against exactly, in rational arithmetic.  The even-N residuals are
-the paper's cells as printed.
-
 The eigenvalues of H_q^{-1} F_N are closed-form: the largest is the tight c of
-c H_q >= F_N, their product (1 - r^2) det F_N.  Even N gives (b, a, a) of _even_profile.
+c H_q >= F_N, their product (1 - r^2) det F_N.  Even N gives (b, a, a) of _even_profile,
+a = N - 1 + A and b = N - 1 + (1 - r^2)(A + B r^2).
 Odd N: with S = H_q^{-1/2} and t = a.v, S F_N S = lam0 I + beta v v^T + C (S a)(S a)^T
 / (1 - t^2), lam0 = N - 1 + A, beta = B (1 - r^2) - A, so they are lam0 and lam0 + m
 -+ sqrt(d), m = (beta r^2 + C)/2, d = ((beta r^2 - C)/2)^2 + beta C (1 - r^2) t^2/(1 - t^2).
@@ -56,7 +48,7 @@ m^2 - det M = d; the third eigenvector is v x a.
 from __future__ import annotations
 
 import math
-from functools import partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,8 +83,8 @@ _SQRT3 = math.sqrt(3.0)
 
 #: copy counts with an explicit outcome-probability model
 SUPPORTED_MODELS = (2, 3)
-#: copy counts with a closed-form Fisher matrix
-SUPPORTED_MATRICES = (2, 3, 4, 5, 6)
+#: copy counts with a closed-form Fisher matrix (float error < 8e-16 to N = 20, 8e-14 at 40)
+SUPPORTED_MATRICES = tuple(range(2, 21))
 #: copy counts with a Gill-Massar trace polynomial
 SUPPORTED_TRACES = (2, 3, 4, 5, 6, 7)
 
@@ -150,95 +142,114 @@ def vidal_probabilities(n_copies: int, c: BlochCartesian) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Residual matrices R_N = F_N - (N-1) H_q
+# F_N from its spin-j sectors
 # ---------------------------------------------------------------------------
 
-def _residual4(x, y, z):
-    x2, y2, z2 = x * x, y * y, z * z
-    return _sym3(
-        ((-7.0 - 5.0 * y2 - 5.0 * z2) / 12.0,
-         (-7.0 - 5.0 * x2 - 5.0 * z2) / 12.0,
-         (-7.0 - 5.0 * x2 - 5.0 * y2) / 12.0),
-        (5.0 * x * y / 12.0, 5.0 * x * z / 12.0, 5.0 * y * z / 12.0),
-    )
+def _check_matrix(n_copies: int):
+    if n_copies not in SUPPORTED_MATRICES:
+        raise UnsupportedNError(
+            f"closed-form Fisher matrices exist for N in {SUPPORTED_MATRICES[0]}.."
+            f"{SUPPORTED_MATRICES[-1]}, got {n_copies}")
 
 
-def _odd_profile(n_copies: int, r2):
-    """(A, B, C) with R_N = A I + B v v^T + C J / (3 - s^2) for N = 3, 5.
+def _multiplicity(n_copies: int, k: int) -> int:
+    """d_j of the spin-j sector, j = N/2 - k."""
+    return math.comb(n_copies, k) - (math.comb(n_copies, k - 1) if k else 0)
 
-    Exact when ``r2`` is a Fraction: constants are taken in the type of ``r2``.
+
+@lru_cache(maxsize=None)
+def _sectors(n_copies: int) -> tuple:
+    """A, B of R_N and the chart profiles b, a of F_N, exact polynomials in r^2.
+
+    The sector sum (module docstring) in Fractions, as polynomials in r; each
+    result is (integer coefficients, denominator), which _poly keeps exact.
     """
-    one = r2 ** 0
-    if n_copies == 3:
-        return -one / 2, 0 * one, (1 - r2) / 2
-    return -3 * (5 + 3 * r2) / 16, 7 * one / 8, 5 * (1 - r2) ** 2 / 16
+    _check_matrix(n_copies)
+    from fractions import Fraction  # here, not at import: it pulls in decimal
+    from numpy.polynomial import Polynomial
+
+    r = Polynomial([Fraction(0), Fraction(1)])
+    pole = 1 - r * r
+
+    def moment(m, l):  # E[q^m c^l] in r, q = (1 + r c)/2; odd powers of c average to 0
+        return Polynomial([Fraction(math.comb(m, i) * (1 - (i + l) % 2), (i + l + 1) * 2 ** m)
+                           for i in range(m + 1)] or [Fraction(0)])
+
+    # a: the I coefficient of F_N; b: (1 - r^2) v.F_N.v / r^2, both without C's pair term
+    a = b = 0 * r
+    for k in range(n_copies // 2 + 1):  # sector j = N/2 - k, t = 2j
+        t = n_copies - 2 * k
+        w = Fraction((t + 1) * _multiplicity(n_copies, k), 4 ** k)  # g^k = (1 - r^2)^k / 4^k
+        if t >= 2:  # the n/q part of the score, j = t/2
+            a += w * t * t / 8 * pole ** k * (moment(t - 2, 0) - moment(t - 2, 2))
+            b += w * t * t / 4 * pole ** (k + 1) * moment(t - 2, 2)
+        if k:  # the v part, 2k/(1 - r^2), and its cross term
+            b += w * 4 * k * pole ** (k - 1) * r * (
+                k * r * moment(t, 0) - t * pole * moment(t - 1, 1) / 2)
+
+    a, b = (Polynomial(p.coef[::2]) for p in (a, b))  # even in r: now in x = r^2
+    big_a = a - (n_copies - 1)
+    # b = N - 1 + (1 - x)(A + B x): dividing by 1 - x (the H_q pole) is a prefix sum
+    sums = np.cumsum(np.append((b - (n_copies - 1)).coef, 0))
+    big_b = Polynomial(sums[:-1]) - big_a
+    if sums[-1] or big_b.coef[0]:
+        raise ArithmeticError(f"the sector sum of F_{n_copies} left a remainder")
+    big_b = Polynomial(np.append(big_b.coef[1:], 0)).trim()  # divided by x
+
+    def integer_form(p):
+        den = math.lcm(*(c.denominator for c in p.coef))
+        return tuple(int(c * den) for c in p.coef), den
+
+    return tuple(integer_form(p) for p in (big_a, big_b, b, a))
 
 
-def _residual_odd(n_copies: int, x, y, z):
-    a, b, c = _odd_profile(n_copies, x * x + y * y + z * z)
-    k = c / (3.0 - (x + y + z) ** 2)
-    return _sym3((a + b * x * x + k, a + b * y * y + k, a + b * z * z + k),
-                 (b * x * y + k, b * x * z + k, b * y * z + k))
+def _poly(p, x):
+    """Horner value at x of p = (integer coefficients, denominator); exact on Fractions."""
+    coeffs, den = p
+    acc = coeffs[-1] if len(coeffs) > 1 else coeffs[-1] + 0 * x  # a constant takes x's type
+    for c in coeffs[-2::-1]:
+        acc = acc * x + c
+    return acc / den
 
 
-def _r6_diag(x, y, z):
-    # diagonal cell of the N=6 residual numerator, polar in its first argument
-    s = y * y + z * z
-    return (-125.0 - 146.0 * s + 31.0 * s * s
-            + x * x * (47.0 + 31.0 * s))
+def _profile(n_copies: int, r2):
+    """(A, B, C) with R_N = A I + B v v^T + C J / (3 - s^2) at r^2; exact on Fractions.
 
-
-def _residual6(x, y, z):
-    r2 = x * x + y * y + z * z
-    big_a = 193.0 - 31.0 * r2
-    return _sym3(
-        (_r6_diag(x, y, z) / 120.0, _r6_diag(y, x, z) / 120.0, _r6_diag(z, x, y) / 120.0),
-        (big_a * x * y / 120.0, big_a * x * z / 120.0, big_a * y * z / 120.0),
-    )
-
-
-_RESIDUALS = {3: partial(_residual_odd, 3), 4: _residual4,
-              5: partial(_residual_odd, 5), 6: _residual6}
+    C = d_1/2 g^k stays factored: expanded, it loses digits near the axis a.
+    """
+    big_a, big_b, _, _ = _sectors(n_copies)
+    k = n_copies // 2
+    c = _multiplicity(n_copies, k) * ((1 - r2) / 4) ** k if n_copies % 2 else 0 * r2
+    return _poly(big_a, r2), _poly(big_b, r2), c
 
 
 def closed_form_batch(n_copies: int, xyz: np.ndarray) -> np.ndarray:
     """F_N at a batch of interior points, shape (..., 3) -> (..., 3, 3)."""
-    if n_copies not in SUPPORTED_MATRICES:
-        _raise_unsupported(n_copies)
     xyz = np.asarray(xyz, dtype=float)
     h = infogeo.helstrom_batch(xyz)
     if n_copies == 2:
         return h
-    x, y, z = np.moveaxis(xyz, -1, 0)
-    return (n_copies - 1.0) * h + _RESIDUALS[n_copies](x, y, z)
+    return (n_copies - 1.0) * h + residual_batch(n_copies, xyz)
 
 
 def residual_batch(n_copies: int, xyz: np.ndarray) -> np.ndarray:
-    """R_N = F_N - (N-1) H_q at a batch of points (N in 3..6)."""
-    if n_copies not in _RESIDUALS:
-        raise UnsupportedNError(f"residual matrices exist for N in 3..6, got {n_copies}")
+    """R_N = F_N - (N-1) H_q at a batch of points, shape (..., 3) -> (..., 3, 3)."""
     x, y, z = np.moveaxis(np.asarray(xyz, dtype=float), -1, 0)
-    return _RESIDUALS[n_copies](x, y, z)
-
-
-def _raise_unsupported(n_copies):
-    if n_copies == 7:
-        raise UnsupportedNError(
-            "N = 7 is reference-trace-only: no closed-form Fisher matrix is "
-            "available, only gm_trace_reference and the limiting entries")
-    raise UnsupportedNError(
-        f"closed-form Fisher matrices exist for N in {SUPPORTED_MATRICES}, got {n_copies}")
+    a, b, c = _profile(n_copies, x * x + y * y + z * z)
+    res = _sym3((a + b * x * x, a + b * y * y, a + b * z * z),
+                (b * x * y, b * x * z, b * y * z))
+    if n_copies % 2:
+        res += (c / (3.0 - (x + y + z) ** 2))[..., None, None]
+    return res
 
 
 def fisher_closed_form(n_copies: int, c: BlochCartesian) -> InfoMatrix:
-    """Fisher matrix of the optimal N-copy measurement, N in 2..6 (r < 1).
+    """Fisher matrix of the optimal N-copy measurement, N in SUPPORTED_MATRICES (r < 1).
 
-    For N = 2 this is H_q itself; for N = 3..6 it is (N-1) H_q plus the
-    negative-semidefinite residual.  For N = 2, 3 it agrees with the generic
-    Fisher engine applied to :func:`vidal_model`.
+    (N-1) H_q plus the residual R_N, which vanishes for N = 2.  For N = 2, 3 it
+    agrees with the generic Fisher engine applied to :func:`vidal_model`.
     """
-    if n_copies not in SUPPORTED_MATRICES:
-        _raise_unsupported(n_copies)
+    _check_matrix(n_copies)
     if c.r2 >= 1.0:
         raise PureStateError("closed-form Fisher matrices diverge at r = 1")
     return InfoMatrix(closed_form_batch(n_copies, c.as_array()), "cartesian")
@@ -247,19 +258,12 @@ def fisher_closed_form(n_copies: int, c: BlochCartesian) -> InfoMatrix:
 def _even_profile(n_copies: int, r2):
     """(b, a) with F_N = diag(b/(1-r^2), r^2 a, r^2 a sin^2 theta) in the x-polar chart.
 
-    The even-N closed forms are rotationally invariant, so two radial
-    profiles in r^2 carry the whole matrix; N = 2 is H_q itself.  Exact on Fractions.
+    Even N only, where F_N is rotation invariant; exact on Fractions.
     """
-    if n_copies == 2:
-        return r2 ** 0, r2 ** 0
-    if n_copies == 4:
-        return (29 + 7 * r2) / 12, (29 - 5 * r2) / 12
-    if n_copies == 6:
-        r4 = r2 * r2
-        return ((475 + 172 * r2 - 47 * r4) / 120,
-                (475 - 146 * r2 + 31 * r4) / 120)
-    raise UnsupportedNError(
-        f"diagonal spherical forms exist for N in (2, 4, 6), got {n_copies}")
+    if n_copies % 2:
+        raise UnsupportedNError(f"diagonal spherical forms exist for even N only, got {n_copies}")
+    _, _, b, a = _sectors(n_copies)
+    return _poly(b, r2), _poly(a, r2)
 
 
 def _ratio_spectrum(n_copies: int, r2, t2) -> tuple:
@@ -267,17 +271,15 @@ def _ratio_spectrum(n_copies: int, r2, t2) -> tuple:
     if n_copies % 2 == 0:
         b, a = _even_profile(n_copies, r2)
         return np.broadcast_arrays(a, a, b)
-    return _odd_spectrum(*_odd_ratio_parts(n_copies, *_odd_profile(n_copies, r2), r2, t2))
+    return _odd_spectrum(*_odd_ratio_parts(n_copies, *_profile(n_copies, r2), r2, t2))
 
 
 def _difference_spectrum(n_copies: int, scalar, r2, t2) -> tuple:
     """The three eigenvalues of scalar * H_q - F_N at r^2 = v.v, t^2 = (a.v)^2, as arrays."""
-    if n_copies not in SUPPORTED_MATRICES:
-        _raise_unsupported(n_copies)
     if n_copies % 2 == 0:
         b, a = _even_profile(n_copies, r2)
         return np.broadcast_arrays(scalar - a, scalar - a, (scalar - b) / (1 - r2))
-    profile = _odd_profile(n_copies, r2)
+    profile = _profile(n_copies, r2)
     return _odd_spectrum(*_odd_difference_parts(n_copies, scalar, *profile, r2, t2))
 
 
@@ -307,12 +309,10 @@ def _plane_parts(k, u, w, cross):
 
 
 def fisher_spherical_diag(n_copies: int, s: BlochSpherical) -> InfoMatrix:
-    """Diagonal spherical form of F_N for even N = 2, 4, 6.
+    """Diagonal spherical form of F_N for even N in SUPPORTED_MATRICES.
 
-    Equals the congruence transform of the Cartesian closed form:
-
-        N=4:  diag((29+7r^2)/(1-r^2), r^2(29-5r^2), ...sin^2 theta) / 12
-        N=6:  diag((475+172r^2-47r^4)/(1-r^2), r^2(475-146r^2+31r^4), ...) / 120
+    Equals the congruence transform of the Cartesian closed form; for N = 4
+    it is diag((29+7r^2)/(1-r^2), r^2(29-5r^2), ...sin^2 theta) / 12.
     """
     radial, angular = _even_profile(n_copies, s.r * s.r)
     if s.r >= 1.0:
@@ -390,13 +390,11 @@ def fully_mixed_entry11_limit(n_copies: int, theta: float, phi: float) -> float:
     """Exact r -> 0 limit of the spherical (1,1) entry, from the closed forms.
 
     Computed as e_r^T F_N(0) e_r with e_r the radial direction of the x-polar
-    chart.  Matches :func:`fully_mixed_entry11` for every supported N except
+    chart.  Matches :func:`fully_mixed_entry11` wherever both exist except
     N = 5 (see the caveat there); the N = 5 limit is
 
         (152 + 5 (sin(2 theta)(cos phi + sin phi) + sin^2(theta) sin(2 phi))) / 48.
     """
-    if n_copies not in SUPPORTED_MATRICES:
-        _raise_unsupported(n_copies)
     f0 = closed_form_batch(n_copies, np.zeros(3))
     st = math.sin(theta)
     e_r = np.array([math.cos(theta), st * math.cos(phi), st * math.sin(phi)])

@@ -104,6 +104,14 @@ class TestGmTrace:
             for n in (2, 3, 4, 5, 6):
                 assert gm_trace("helstrom", n, c) > n
 
+    @pytest.mark.parametrize("n", povm.SUPPORTED_MATRICES)
+    @given(st.floats(1e-100, 1.0 - 1e-12), st.floats(0.0, math.pi),
+           st.floats(0.0, 2 * math.pi, exclude_max=True))
+    @settings(max_examples=50, deadline=None)
+    def test_every_supported_n_exceeds_the_separable_bound(self, n, r, theta, phi):
+        # the Gill-Massar cap for separable measurements is N on the whole open ball
+        assert gm_trace("helstrom", n, bloch.to_cartesian(BlochSpherical(r, theta, phi))) > n
+
     @given(st.floats(0.05, 0.95), st.floats(0.05, math.pi - 0.05),
            st.floats(0.0, 6.28))
     @settings(max_examples=60, deadline=None)
@@ -184,6 +192,10 @@ class TestLimitTrace:
     def test_endpoint_limits(self, metric, n, endpoint, target):
         assert limit_trace(metric, n, endpoint) == pytest.approx(target, abs=1e-5)
 
+    @pytest.mark.parametrize("n", povm.SUPPORTED_MATRICES)
+    def test_pure_limit_is_2n_minus_1_for_every_supported_n(self, n):
+        assert limit_trace("helstrom", n, "pure") == pytest.approx(2 * n - 1, abs=1e-5)
+
     def test_reference_limits_formula(self):
         assert trace_limit_reference("helstrom", 4, "pure") == pytest.approx(7.0)
         assert trace_limit_reference("quasi_bures", 6, "pure") == pytest.approx(5 + 12 / math.e)
@@ -257,7 +269,7 @@ class TestDominance:
         c3 = min_dominating_scalar(3, (0.0, 0.999))
         assert 1.99 < c3 <= 2.0 + 2e-4
 
-    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_min_dominating_scalar_is_exact(self, n):
         c = min_dominating_scalar(n, (0.0, 0.999))
         pts = analysis.ball_grid((0.0, 0.999))
@@ -404,9 +416,8 @@ class TestDominanceSpectrum:
             scan_dominance(6, 4.99)
 
     @pytest.mark.parametrize("n, message", [
-        (1, "closed-form Fisher matrices exist for N in (2, 3, 4, 5, 6), got 1"),
-        (7, "N = 7 is reference-trace-only: no closed-form Fisher matrix is available, "
-            "only gm_trace_reference and the limiting entries"),
+        (1, "closed-form Fisher matrices exist for N in 2..20, got 1"),
+        (21, "closed-form Fisher matrices exist for N in 2..20, got 21"),
     ])
     def test_unsupported_copy_counts(self, n, message):
         with pytest.raises(povm.UnsupportedNError, match=f"^{re.escape(message)}$"):
@@ -479,7 +490,7 @@ class TestVolumeIntegrals:
         assert sum(points) == 48 ** 2 + 72 ** 2
 
     @pytest.mark.parametrize("n,target", [(3, 21.0235), (4, 35.0281),
-                                          (5, 51.0763), (6, 69.1253)])
+                                          (5, 51.0763), (6, 69.1253), (7, 88.8621)])
     def test_tabulated_values(self, n, target):
         assert volume_integral(n) == pytest.approx(target, rel=5e-4)
 
@@ -499,9 +510,9 @@ class TestVolumeIntegrals:
         with pytest.raises(NonConvergenceError):
             volume_integral(3, QuadratureSpec(order=48, rtol=1e-16))
 
-    def test_seven_copies_unavailable(self):
+    def test_copy_counts_beyond_the_cap_unavailable(self):
         with pytest.raises(povm.UnsupportedNError):
-            volume_integral(7)
+            volume_integral(21)
 
     def test_negative_determinant_beyond_roundoff_raises(self, monkeypatch):
         def not_psd(n, r2, t2):

@@ -72,6 +72,25 @@ class TestMatrixCommands:
         payload = json.loads(out)
         assert payload["matrix"][0][0] == pytest.approx(29 / 12)
 
+    def test_seven_copies(self, capsys):
+        # F_7(0) = (449/96) I + (7/96) J, its diagonal the tabulated 456/96
+        code, out = run_cli(capsys, "fisher", "--n", "7", "--point", "0,0,0")
+        assert code == 0
+        assert json.loads(out)["matrix"][0] == pytest.approx([4.75, 7 / 96, 7 / 96])
+        code, out = run_cli(capsys, "gm-trace", "--metric", "helstrom", "--n", "7", "--r", "0.5")
+        assert code == 0 and json.loads(out) == pytest.approx(povm.gm_trace_reference(7, 0.5))
+        code, out = run_cli(capsys, "volume", "--n", "7")
+        assert code == 0 and json.loads(out) == pytest.approx(88.8621, rel=5e-4)
+        code, out = run_cli(capsys, "dominance", "--n", "7")
+        assert code == 0 and json.loads(out)["n_violations"] == 0
+
+    @pytest.mark.parametrize("command, smallest", [
+        ("fisher", 2), ("gm-trace", 2), ("volume", 2), ("dominance", 3)])
+    def test_copy_count_choices_are_the_supported_matrices(self, command, smallest):
+        sub = build_parser()._subparsers._group_actions[0].choices[command]
+        n_action = next(a for a in sub._actions if a.dest == "n")
+        assert n_action.choices == tuple(n for n in povm.SUPPORTED_MATRICES if n >= smallest)
+
     def test_invalid_point_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["helstrom", "--point", "2,0,0"])
@@ -110,12 +129,12 @@ class TestDominanceCommand:
         assert code == 0 and json.loads(out)["n_violations"] == 0
         assert sizes == []
 
-    def test_copy_count_seven_is_usage_error(self, capsys):
+    def test_copy_count_beyond_the_cap_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
-            main(["dominance", "--n", "7", "--scalar", "6"])
+            main(["dominance", "--n", "21", "--scalar", "6"])
         assert err.value.code == 2
         stderr = capsys.readouterr().err
-        assert stderr.count("error:") == 1 and "invalid choice: 7" in stderr
+        assert stderr.count("error:") == 1 and "invalid choice: 21" in stderr
 
     @pytest.mark.parametrize("scalar", ["nan", "inf"])
     def test_non_finite_scalar_is_usage_error(self, capsys, scalar):
@@ -325,18 +344,28 @@ print(json.dumps({"codes": codes, "scipy": scipy}))
 """
 
 
+def _fresh_python(code, *args):
+    """stdout of ``python -c code *args`` in a new interpreter, with src on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
+                               if env.get("PYTHONPATH") else "")
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestImportBoundary:
     def test_cheap_commands_never_import_scipy(self):
         subcommands = build_parser()._subparsers._group_actions[0].choices
         assert {argv[0] for argv in _EVERY_COMMAND} == set(subcommands)
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
-                                   if env.get("PYTHONPATH") else "")
-        proc = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE, json.dumps(_EVERY_COMMAND)],
-            env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
-        result = json.loads(proc.stdout.splitlines()[-1])
+        out = _fresh_python(_IMPORT_PROBE, json.dumps(_EVERY_COMMAND))
+        result = json.loads(out.splitlines()[-1])
         assert result["codes"] == [0] * len(_EVERY_COMMAND)
         assert result["scipy"] == []
+
+    def test_import_leaves_fractions_unloaded(self):
+        # fractions pulls in decimal; only the exact profile derivation needs it
+        out = _fresh_python("import sys, qig.cli; print('fractions' in sys.modules)")
+        assert out.strip() == "False"

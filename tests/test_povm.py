@@ -168,13 +168,13 @@ class TestClosedForms:
             top = np.linalg.eigvalsh(f - (n - 1) * h)[:, -1]
             assert np.all(top <= 1e-12 * np.max(np.abs(f), axis=(1, 2)))
 
-    def test_seven_copies_is_reference_only(self):
+    def test_copy_counts_beyond_the_cap_are_refused(self):
         with pytest.raises(UnsupportedNError):
-            fisher_closed_form(7, BlochCartesian(0.1, 0.1, 0.1))
+            fisher_closed_form(21, BlochCartesian(0.1, 0.1, 0.1))
 
 
-# The paper's literal odd-N residual cells, the oracle for povm's invariant
-# form.  The source gives only the (1,1) and (1,2) cells of R_5; the family is
+# The paper's literal odd-N residual cells, the oracle for povm's sector-sum
+# profiles.  The source gives only the (1,1) and (1,2) cells of R_5; the family is
 # invariant under permutations of (x, y, z) with outcome relabelling, so
 #   (2,2) = (1,1) with x<->y,  (3,3) = (1,1) with x<->z,
 #   (1,3) = (1,2) with y<->z,  (2,3) = (1,2) under the cycle x->y->z->x.
@@ -240,8 +240,8 @@ _PAPER_RESIDUALS = {3: _paper_r3, 4: _paper_r4, 5: _paper_r5, 6: _paper_r6}
 
 
 def _invariant_exact(n, v):
-    """A I + B v v^T + C J / (3 - s^2) from povm's odd-N profile, in Fractions."""
-    a, b, c = povm._odd_profile(n, sum(t * t for t in v))
+    """A I + B v v^T + C J / (3 - s^2) from povm's profile, in Fractions."""
+    a, b, c = povm._profile(n, sum(t * t for t in v))
     k = c / (3 - sum(v) ** 2)
     return [[a * (i == j) + b * v[i] * v[j] + k for j in range(3)] for i in range(3)]
 
@@ -256,29 +256,35 @@ def rational_points(n=60, seed=11):
     return pts
 
 
-class TestOddResidualOracle:
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+class TestResidualOracle:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_profiles_are_exact_on_fractions(self, n):
-        profile = povm._odd_profile if n % 2 else povm._even_profile
-        assert all(type(t) is Fraction for t in profile(n, Fraction(1, 4)))
+        profiles = povm._profile(n, Fraction(1, 4))
+        if n % 2 == 0:
+            profiles += povm._even_profile(n, Fraction(1, 4))
+        assert all(type(t) is Fraction for t in profiles)
 
-    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_invariant_form_equals_paper_cells_exactly(self, n):
         for v in rational_points():
             assert _invariant_exact(n, v) == _PAPER_RESIDUALS[n](*v), v
 
+    @pytest.mark.parametrize("n", [5, 7])
     @pytest.mark.parametrize("tilt", [0.0, 1e-3])
-    def test_five_copy_kernel_is_accurate_near_the_axis(self, tilt):
-        # 3 - s^2 vanishes like 1 - r^2 along a = (1,1,1)/sqrt(3) while R_5
-        # stays bounded; the kernel must not lose digits to that cancellation.
-        # (R_3's J term tends to a direction-dependent limit there, so its
-        # value is ill-conditioned in v itself and has no such bound.)
+    def test_kernel_is_accurate_near_the_axis(self, n, tilt):
+        # 3 - s^2 vanishes like 1 - r^2 along a = (1,1,1)/sqrt(3) while R_N
+        # stays bounded for N >= 5; the kernel must not lose digits to that
+        # cancellation.  The oracle is the paper's cells for N = 5 and the
+        # profile in Fractions for N = 7.  (R_3's J term tends to a
+        # direction-dependent limit there, so its value is ill-conditioned in
+        # v itself and has no such bound.)
+        oracle = _paper_r5 if n == 5 else lambda *v: _invariant_exact(7, v)
         direction = np.array([1.0, 1.0, 1.0 + tilt])
         direction /= np.linalg.norm(direction)
         for h in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8):
             v = (1.0 - h) * direction
-            exact = np.array(_paper_r5(*(Fraction(t) for t in v)), dtype=float)
-            gap = np.abs(povm.residual_batch(5, v) - exact)
+            exact = np.array(oracle(*(Fraction(t) for t in v)), dtype=float)
+            gap = np.abs(povm.residual_batch(n, v) - exact)
             assert np.max(gap) <= 1e-14 * np.max(np.abs(exact)), (h, np.max(gap))
 
     @pytest.mark.parametrize("n", [3, 5])
@@ -314,7 +320,7 @@ def _spectrum_sum_product(n, r2, t2):
     if n % 2 == 0:
         lam = [x.item() for x in povm._ratio_spectrum(n, r2, t2)]
         return sum(lam), lam[0] * lam[1] * lam[2]
-    lam0, m, d = povm._odd_ratio_parts(n, *povm._odd_profile(n, r2), r2, t2)
+    lam0, m, d = povm._odd_ratio_parts(n, *povm._profile(n, r2), r2, t2)
     return 3 * lam0 + 2 * m, lam0 * ((lam0 + m) ** 2 - d)
 
 
@@ -368,7 +374,7 @@ def _difference_sum_product(n, scalar, r2, t2):
     if n % 2 == 0:
         lam = [x.item() for x in povm._difference_spectrum(n, scalar, r2, t2)]
         return sum(lam), lam[0] * lam[1] * lam[2]
-    k, m, d = povm._odd_difference_parts(n, scalar, *povm._odd_profile(n, r2), r2, t2)
+    k, m, d = povm._odd_difference_parts(n, scalar, *povm._profile(n, r2), r2, t2)
     return 3 * k + 2 * m, k * ((k + m) ** 2 - d)
 
 
@@ -447,7 +453,7 @@ class TestFullyMixedEntry:
         assert fully_mixed_entry11(5, 0.3, 0.0) == pytest.approx(108 / 32)
         assert fully_mixed_entry11(3, math.pi / 2, math.pi / 4) == pytest.approx(11 / 6)
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 7])
     def test_tabulated_matches_matrix_limit(self, n):
         for theta, phi in ((1.1, 0.7), (2.0, 3.9), (math.pi / 2, math.pi / 4)):
             s = BlochSpherical(1e-5, theta, phi)
@@ -455,7 +461,7 @@ class TestFullyMixedEntry:
                 fisher_closed_form(n, bloch.to_cartesian(s)), s).entries
             assert f[0, 0] == pytest.approx(fully_mixed_entry11(n, theta, phi), abs=1e-9)
             assert fully_mixed_entry11_limit(n, theta, phi) == pytest.approx(
-                fully_mixed_entry11(n, theta, phi), abs=1e-12)
+                fully_mixed_entry11(n, theta, phi), abs=1e-14)
 
     def test_five_copy_tabulated_value_is_inconsistent(self):
         # The tabulated N=5 expression fails the trace identity the N=3 and
