@@ -21,6 +21,10 @@ points with entries of order 1/(1-r^2) are judged on relative footing.
 The scan takes the eigenvalues of c*H_q - F_N in closed form from ``povm``
 and lists violations by their scaled minimum rounded to 9 decimals, then
 by grid index.
+
+Read-only, N-independent geometry is cached on first use, never at import:
+a scan table per grid (points, r^2, (a.v)^2) and a node table per quadrature
+order and parity of N.  No volume, scalar, spectrum, profile or report is cached.
 """
 
 from __future__ import annotations
@@ -207,11 +211,16 @@ def trace_limit_reference(metric, n_copies: int, endpoint: str) -> float:
     Every rotationally invariant metric gives trace (N-1) + 2N/g(0+) at
     r = 1 (g(0+) = 2 for Helstrom, e for quasi-Bures, infinity for
     Yuen-Lax, hence 2N-1, (N-1) + 2N/e, and N-1), and the metrics all
-    coincide at r = 0, where the trace is the Gill-Massar value GM_N(0).
+    coincide at r = 0, where the trace is the Gill-Massar value GM_N(0): the
+    tabulated polynomial for N <= 7, and 3(N-1) + 3A(0) + C(0) from the
+    derived profile of R_N (``povm``) beyond.
     """
     metric = as_metric_kind(metric)
     if endpoint == "mixed":
-        return povm.gm_trace_reference(n_copies, 0.0)
+        if n_copies in povm.SUPPORTED_TRACES:
+            return povm.gm_trace_reference(n_copies, 0.0)
+        a, _, c = povm._profile(n_copies, 0.0)
+        return 3.0 * (n_copies - 1) + 3.0 * a + c
     if endpoint != "pure":
         raise ValueError(f"endpoint must be 'pure' or 'mixed', got {endpoint!r}")
     g0 = {"helstrom": 2.0, "quasi_bures": math.e, "yuen_lax": math.inf}.get(metric.name)
@@ -246,7 +255,6 @@ def dominates(a: InfoMatrix, b: InfoMatrix, tol: float = PSD_TOL) -> bool:
     return bool(_scaled_min_eigs(_difference(a, b)) >= -tol)
 
 
-@lru_cache(maxsize=4)
 def _halton(n: int) -> np.ndarray:
     """Bit for bit ``scipy.stats.qmc.Halton(d=3, scramble=True, seed=GRID_SEED).random(n)``.
 
@@ -262,24 +270,45 @@ def _halton(n: int) -> np.ndarray:
             u[:, d] += rng.permutation(base)[q % base] * scale
             q //= base
             scale /= base
-    u.flags.writeable = False
     return u
 
 
-@lru_cache(maxsize=4)
-def _halton_directions(n: int) -> tuple:
-    """(cos t, sin t, cos phi, sin phi) of the first n Halton points, read-only.
+def _read_only(*arrays) -> tuple:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
-    Only the radius of a ball_grid point depends on its region, so the
-    direction columns are derived once per n, beside the cached draw.
-    """
-    u = _halton(n)
+
+def _grid_table(region, n_points: int = GRID_POINTS, edge_points: int = EDGE_POINTS) -> tuple:
+    """_scan_table of a region, checked first so that a bad region caches nothing."""
+    lo, hi = float(region[0]), float(region[1])
+    if not 0.0 <= lo < hi:
+        raise ValueError(f"bad region {region}")
+    if hi >= 1.0:
+        raise ValueError("scan region must stay strictly inside the ball (hi < 1)")
+    return _scan_table(lo, hi, n_points, edge_points)
+
+
+@lru_cache(maxsize=4)
+def _scan_table(lo: float, hi: float, n_points: int, edge_points: int) -> tuple:
+    """Read-only (points, r^2, t^2) of ball_grid over lo <= r <= hi, the same for every N."""
+    u = _halton(n_points)
+    r = np.cbrt(lo ** 3 + u[:, 0] * (hi ** 3 - lo ** 3))
     cos_t = 2.0 * u[:, 1] - 1.0
     phi = 2.0 * math.pi * u[:, 2]
-    columns = (cos_t, np.sqrt(1.0 - cos_t ** 2), np.cos(phi), np.sin(phi))
-    for column in columns:
-        column.flags.writeable = False
-    return columns
+    pts = np.empty((n_points + len(EDGE_DIRECTIONS) * edge_points, 3))
+    x, y, z = pts[:n_points].T
+    np.multiply(r, cos_t, out=x)
+    r_sin_t = r * np.sqrt(1.0 - cos_t ** 2)
+    np.multiply(r_sin_t, np.cos(phi), out=y)
+    np.multiply(r_sin_t, np.sin(phi), out=z)
+    if edge_points:
+        gap = np.geomspace(1e-7, max(hi - lo, 1e-3) * 0.1, edge_points)
+        radii = np.clip(hi - gap, lo, hi)
+        lines = pts[n_points:].reshape(len(EDGE_DIRECTIONS), edge_points, 3)
+        for line, d in zip(lines, EDGE_DIRECTIONS):
+            np.multiply(radii[:, None], d, out=line)
+    return _read_only(pts, *_invariants(pts))
 
 
 def ball_grid(region: tuple[float, float] = (0.0, 0.999),
@@ -290,29 +319,12 @@ def ball_grid(region: tuple[float, float] = (0.0, 0.999),
     Low-discrepancy (scrambled Halton, seed GRID_SEED) points uniform in
     volume over the shell, plus ``edge_points`` radii packed geometrically
     against the outer radius along each of EDGE_DIRECTIONS -- dominance
-    violations concentrate at nearly pure states.  Every call returns a
-    fresh, writable array.
+    violations concentrate at nearly pure states.  The points live in a
+    read-only scan table, cached per (region, n_points, edge_points) with
+    their (r^2, t^2) and shared by the scans; every call returns a fresh,
+    writable copy.
     """
-    lo, hi = float(region[0]), float(region[1])
-    if not 0.0 <= lo < hi:
-        raise ValueError(f"bad region {region}")
-    if hi >= 1.0:
-        raise ValueError("scan region must stay strictly inside the ball (hi < 1)")
-    cos_t, sin_t, cos_phi, sin_phi = _halton_directions(n_points)
-    r = np.cbrt(lo ** 3 + _halton(n_points)[:, 0] * (hi ** 3 - lo ** 3))
-    pts = np.empty((n_points + len(EDGE_DIRECTIONS) * edge_points, 3))
-    x, y, z = pts[:n_points].T
-    np.multiply(r, cos_t, out=x)
-    r_sin_t = r * sin_t
-    np.multiply(r_sin_t, cos_phi, out=y)
-    np.multiply(r_sin_t, sin_phi, out=z)
-    if edge_points:
-        gap = np.geomspace(1e-7, max(hi - lo, 1e-3) * 0.1, edge_points)
-        radii = np.clip(hi - gap, lo, hi)
-        lines = pts[n_points:].reshape(len(EDGE_DIRECTIONS), edge_points, 3)
-        for line, d in zip(lines, EDGE_DIRECTIONS):
-            np.multiply(radii[:, None], d, out=line)
-    return pts
+    return _grid_table(region, n_points, edge_points)[0].copy()
 
 
 @dataclass(frozen=True)
@@ -341,9 +353,9 @@ def _invariants(pts: np.ndarray) -> tuple:
     return x * x + y * y + z * z, (x + y + z) ** 2 / 3.0
 
 
-def _scaled_min_difference(n_copies: int, scalar: float, pts: np.ndarray) -> np.ndarray:
-    """_scaled_min_eigs of scalar*H_q - F_N at each point, from its closed-form spectrum."""
-    l0, l1, l2 = povm._difference_spectrum(n_copies, scalar, *_invariants(pts))
+def _scaled_min_difference(n_copies: int, scalar: float, r2, t2) -> np.ndarray:
+    """_scaled_min_eigs of scalar*H_q - F_N at (r^2, t^2), from its closed-form spectrum."""
+    l0, l1, l2 = povm._difference_spectrum(n_copies, scalar, r2, t2)
     norms = np.sqrt(l0 * l0 + l1 * l1 + l2 * l2)
     if not np.isfinite(norms).all():
         raise RuntimeError(f"the spectrum of {scalar!r}*H_q - F_{n_copies} is not finite "
@@ -369,8 +381,8 @@ def scan_dominance(n_copies: int, scalar: float,
     """
     if not abs(scalar) <= MAX_SCALAR:
         raise ValueError(f"|scalar| must be at most {MAX_SCALAR:g}, got {scalar!r}")
-    pts = ball_grid(region)
-    eigs = _scaled_min_difference(n_copies, scalar, pts)
+    pts, r2, t2 = _grid_table(region)
+    eigs = _scaled_min_difference(n_copies, scalar, r2, t2)
     bad = np.flatnonzero(eigs < -tol)
     order = bad[np.lexsort((bad, np.round(eigs[bad], 9)))][:max_reported]
     return DominanceReport(
@@ -388,15 +400,17 @@ def min_dominating_scalar(n_copies: int,
 
     c*H_q - F_N is PSD iff c bounds every eigenvalue of H_q^{-1} F_N, so c
     is the largest of those over the grid, closed-form in r^2 and (x+y+z)^2/3
-    (``povm`` module docstring).  The Cramer-Rao bound guarantees c <= N.
-    Enlarging the region can only raise c.
+    (``povm`` module docstring): max(a, b) for even N, max(k, k + m + sqrt(d))
+    for odd N.  r^2 and t^2 come from the cached scan table; the spectrum is
+    evaluated afresh.  The Cramer-Rao bound guarantees c <= N.  Enlarging
+    the region can only raise c.
     """
     if n_copies not in povm.SUPPORTED_MATRICES[1:]:
         raise povm.UnsupportedNError(
             f"dominating-scalar search needs a closed-form matrix, N in "
             f"3..{povm.SUPPORTED_MATRICES[-1]}, got {n_copies}")
-    lam = povm._ratio_spectrum(n_copies, *_invariants(ball_grid(region)))
-    c = float(np.max([l.max() for l in lam]))
+    lam = povm._ratio_spectrum(n_copies, *_grid_table(region)[1:])
+    c = float(np.maximum(lam[0].max(), lam[2].max()))  # lam[1] <= lam[2] (povm docstring)
     if c > n_copies:
         raise RuntimeError(f"{n_copies}*H_q fails to dominate F_{n_copies} (c = {c!r}); "
                            "the Cramer-Rao cap must hold, so the grid or matrices are wrong")
@@ -461,35 +475,49 @@ class QuadratureSpec:
 _DET_ROUNDOFF = 1e-12
 
 
-def _volume_at_order(n_copies: int, order: int) -> float:
-    # substitute r = sin(u): dr = cos(u) du soaks up the (1-r^2)^(-1/2)
-    # boundary singularity of sqrt(det F)
+@lru_cache(maxsize=8)
+def _node_table(order: int, odd: bool) -> tuple:
+    """Read-only, N-independent nodes of _volume_at_order, r = sin(u) for u in [0, pi/2].
+
+    Even N: (r^2, w_u r^2, angular integral); odd N: (r^2 column, r^2 mu^2, w_u r r, w_mu).
+    """
     u, wu = _gl_nodes(order, 0.0, 0.5 * math.pi)
     r = np.sin(u)
+    if odd:
+        mu, wm = _gl_nodes(order, -1.0, 1.0)
+        r2 = (r * r)[:, None]
+        return _read_only(r2, r2 * mu * mu, wu * r * r, wm)
+    t, wt = _gl_nodes(order, 0.0, math.pi)
+    r2 = r * r
+    return (*_read_only(r2, wu * r2), float(np.sum(wt * np.sin(t))) * 2.0 * math.pi)
+
+
+def _volume_at_order(n_copies: int, order: int) -> float:
+    """Integral of sqrt(det F_N) over the ball at one order, on the cached _node_table.
+
+    r = sin(u), dr = cos(u) du soaks up the (1-r^2)^(-1/2) singularity of
+    sqrt(det F).  The profiles and spectra of F_N are evaluated on every call.
+    """
     if n_copies % 2 == 0:
         # diagonal spherical form: sqrt(det) = sin(theta) r^2 a sqrt(b) / cos(u);
         # the angular integral factorizes
-        t, wt = _gl_nodes(order, 0.0, math.pi)
-        r2 = r * r
+        r2, wu_r2, angular = _node_table(order, False)
         b, a = povm._even_profile(n_copies, r2)
-        radial = float(np.sum(wu * r2 * a * np.sqrt(b)))  # cos(u) cancelled
-        angular = float(np.sum(wt * np.sin(t))) * 2.0 * math.pi
-        return radial * angular
+        return float(np.sum(wu_r2 * a * np.sqrt(b))) * angular  # cos(u) cancelled
     # odd N: F_N(Rv) = R F_N(v) R^T for rotations R about a = (1,1,1)/sqrt(3), so
     # det F_N depends on r and mu = a.v/r only; the azimuth about a gives 2 pi.
     # det F_N = det(H_q^{-1} F_N) / cos(u)^2, so the cos(u) of dr cancels
-    mu, wm = _gl_nodes(order, -1.0, 1.0)
-    r2 = (r * r)[:, None]
-    lam = povm._ratio_spectrum(n_copies, r2, r2 * mu * mu)
-    det = lam[0] * lam[1] * lam[2]
+    r2, t2, wu_r2, wm = _node_table(order, True)
+    l0, l1, l2 = povm._ratio_spectrum(n_copies, r2, t2)
+    det = l0 * l1 * l2
     # F_N is PSD, so a negative determinant may only be roundoff
-    floor = -_DET_ROUNDOFF * np.max(np.abs(lam), axis=0) ** 3
+    floor = -_DET_ROUNDOFF * np.maximum(np.maximum(np.abs(l0), np.abs(l1)), np.abs(l2)) ** 3
     if np.any(det < floor):
         worst = np.unravel_index(np.argmin(det - floor), det.shape)
         raise RuntimeError(
             f"det(H_q^-1 F_{n_copies}) = {det[worst]:.3e} at a quadrature node (order {order}) "
             f"is below the roundoff floor {floor[worst]:.3e}; F_{n_copies} is not PSD there")
-    return 2.0 * math.pi * float((wu * r * r) @ np.sqrt(np.maximum(det, 0.0)) @ wm)
+    return 2.0 * math.pi * float(wu_r2 @ np.sqrt(np.maximum(det, 0.0)) @ wm)
 
 
 def volume_integral(n_copies: int, quad: QuadratureSpec = QuadratureSpec()) -> float:

@@ -13,7 +13,6 @@ and its reports are deterministic per (seed, M, R).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
@@ -42,11 +41,11 @@ def _round_floats(obj, precision):
     return obj
 
 
-def _emit(args, payload, text=None):
+def _emit(args, payload, write=None):
     out = open(args.output, "w") if args.output else sys.stdout
     try:
-        if text is not None:
-            out.write(text)
+        if write is not None:
+            write(out)
         else:
             json.dump(_round_floats(payload, args.precision), out, sort_keys=True)
             out.write("\n")
@@ -91,8 +90,9 @@ def _scalar(text):
 
 _scalar.__name__ = "float"  # argparse names the type in "invalid float value"
 
-#: most points per curve for ``curves --grid``: 100,000 take at most 0.6 s and
-#: 71 MB of RSS per figure on a 2-core host, 1,000,000 took 3-4 s and 424 MB
+#: most points per curve for ``curves --grid``.  The rows stream to the output:
+#: 100,000 peak at 36-41 MB of RSS (figure 6, on 3x3 matrices, at 65 MB) and take
+#: 0.9-1.6 s per figure on a 2-core host; 1,000,000 took 9-11 s and 92 MB (figure 1)
 MAX_GRID = 100_000
 
 
@@ -166,9 +166,7 @@ def cmd_curves(args):
                                        np.linspace(0.0, 1.0, grid_n))
     else:
         tables = analysis.curve_sample("qb_scaled", (2, 4, 6), interior)
-    buf = io.StringIO()
-    analysis.write_curves_csv(tables, buf, precision=args.precision)
-    _emit(args, None, text=buf.getvalue())
+    _emit(args, None, lambda out: analysis.write_curves_csv(tables, out, args.precision))
     return 0
 
 

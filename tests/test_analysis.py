@@ -206,6 +206,20 @@ class TestLimitTrace:
         with pytest.raises(ValueError):
             limit_trace("helstrom", 2, "middle")
 
+    def test_mixed_reference_beyond_the_table_is_exact(self):
+        assert trace_limit_reference("helstrom", 8, "mixed") == 1069 / 64 == 16.703125
+
+    @pytest.mark.parametrize("n", range(8, povm.SUPPORTED_MATRICES[-1] + 1))
+    def test_mixed_reference_beyond_the_table_matches_the_limit(self, n):
+        # check 4's endpoint tolerance
+        assert abs(trace_limit_reference("helstrom", n, "mixed")
+                   - limit_trace("helstrom", n, "mixed")) <= 1e-5
+
+    def test_mixed_reference_keeps_the_table_through_seven(self, monkeypatch):
+        monkeypatch.setattr(povm, "_profile", None)  # the derivation is not consulted
+        for n in povm.SUPPORTED_TRACES:
+            assert trace_limit_reference("helstrom", n, "mixed") == povm.gm_trace_reference(n, 0.0)
+
 
 class TestDominance:
     def test_four_copy_gap_eigenvalues(self):
@@ -365,7 +379,7 @@ class TestDominanceSpectrum:
     def test_scaled_minimum_matches_eigvalsh_on_the_grid(self, n, loose):
         pts = analysis.ball_grid()
         for scalar in _scan_scalars(n, loose):
-            got = analysis._scaled_min_difference(n, scalar, pts)
+            got = analysis._scaled_min_difference(n, scalar, *analysis._invariants(pts))
             want = analysis._scaled_min_eigs(_difference_matrices(n, scalar, pts))
             assert np.max(np.abs(got - want)) <= 1e-12
             assert scan_dominance(n, scalar).n_violations == np.count_nonzero(
@@ -378,7 +392,7 @@ class TestDominanceSpectrum:
     @settings(max_examples=100, deadline=None)
     def test_scaled_minimum_matches_eigvalsh_anywhere(self, n, r, theta, phi, offset):
         v = bloch.to_cartesian(BlochSpherical(r, theta, phi)).as_array()[None]
-        got = analysis._scaled_min_difference(n, n + offset, v)
+        got = analysis._scaled_min_difference(n, n + offset, *analysis._invariants(v))
         want = analysis._scaled_min_eigs(_difference_matrices(n, n + offset, v))
         assert abs(got[0] - want[0]) <= 1e-12
 
@@ -687,11 +701,15 @@ class TestBallGrid:
         assert _bit_equal(r2, np.sum(pts * pts, axis=-1))
         assert _bit_equal(t2, np.sum(pts, axis=-1) ** 2 / 3.0)
 
-    def test_cached_directions_are_read_only(self):
-        for column in analysis._halton_directions(analysis.GRID_POINTS):
-            assert not column.flags.writeable
+    def test_cached_tables_are_read_only(self):
+        tables = [analysis._scan_table(0.0, 0.999, analysis.GRID_POINTS, analysis.EDGE_POINTS)]
+        tables += [analysis._node_table(order, odd) for order in (48, 72) for odd in (False, True)]
+        arrays = [a for table in tables for a in table if isinstance(a, np.ndarray)]
+        assert len(arrays) == 3 + 2 * (2 + 4)
+        for a in arrays:
+            assert not a.flags.writeable
             with pytest.raises(ValueError):
-                column[0] = 0.0
+                a[(0,) * a.ndim] = 0.0
 
     def test_returned_grid_is_fresh_and_writable(self):
         first = analysis.ball_grid()
@@ -708,3 +726,62 @@ class TestBallGrid:
         pts = analysis.ball_grid((0.2, 0.8))
         radii = np.linalg.norm(pts, axis=1)
         assert radii.min() >= 0.2 - 1e-12 and radii.max() <= 0.8
+
+
+def _old_scalar(n, region=(0.0, 0.999)):
+    """min_dominating_scalar before the scan table: every spectrum on a fresh grid."""
+    lam = povm._ratio_spectrum(n, *analysis._invariants(analysis.ball_grid(region)))
+    return float(np.max([l.max() for l in lam]))
+
+
+def _old_scan_json(n, scalar, region=(0.0, 0.999)):
+    """scan_dominance(...).to_json() before the scan table, on a fresh grid."""
+    pts = analysis.ball_grid(region)
+    eigs = analysis._scaled_min_difference(n, scalar, *analysis._invariants(pts))
+    bad = np.flatnonzero(eigs < -analysis.PSD_TOL)
+    order = bad[np.lexsort((bad, np.round(eigs[bad], 9)))][:50]
+    return {"scalar_bound": float(scalar), "min_eigenvalue": float(eigs.min()),
+            "violations": pts[order].tolist(), "n_violations": int(bad.size),
+            "region": [float(region[0]), float(region[1])]}
+
+
+class TestScanTable:
+    """The cached grid and its invariants change no result, and cache nothing else."""
+
+    @pytest.mark.parametrize("n", povm.SUPPORTED_MATRICES)
+    def test_results_equal_the_fresh_grid_path_bit_for_bit(self, n):
+        if n > 2:
+            assert min_dominating_scalar(n) == _old_scalar(n)
+        assert scan_dominance(n, n - 1.01).to_json() == _old_scan_json(n, n - 1.01)
+
+    @pytest.mark.parametrize("region", [[0.0, 0.999], (0, 0.9), (0, 0.999)])
+    def test_region_spellings_give_the_float_tuple_result(self, region):
+        want = tuple(float(x) for x in region)
+        assert min_dominating_scalar(6, region) == min_dominating_scalar(6, want)
+        assert scan_dominance(6, 4.99, region) == scan_dominance(6, 4.99, want)
+        assert _bit_equal(analysis.ball_grid(region), analysis.ball_grid(want))
+
+    @pytest.mark.parametrize("region, message", [
+        ((0.5, 0.5), "bad region (0.5, 0.5)"),
+        ((-0.1, 0.5), "bad region (-0.1, 0.5)"),
+        ((float("nan"), 0.5), "bad region (nan, 0.5)"),
+        ((0.0, 1.0), "scan region must stay strictly inside the ball (hi < 1)"),
+        ((0.2, 1.5), "scan region must stay strictly inside the ball (hi < 1)"),
+    ])
+    def test_bad_regions_raise_and_cache_nothing(self, region, message):
+        before = analysis._scan_table.cache_info()
+        for call in (lambda: analysis.ball_grid(region),
+                     lambda: min_dominating_scalar(6, region),
+                     lambda: scan_dominance(6, 4.99, region)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call()
+        after = analysis._scan_table.cache_info()
+        assert (after.misses, after.currsize) == (before.misses, before.currsize)
+
+    def test_scalar_and_scan_on_a_new_region_build_one_table(self):
+        region = (0.0, 0.987654321)  # used by no other test
+        before = analysis._scan_table.cache_info()
+        c = min_dominating_scalar(6, region)
+        scan_dominance(6, c, region)
+        after = analysis._scan_table.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)

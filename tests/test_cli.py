@@ -329,6 +329,22 @@ _EVERY_COMMAND = [
     ["verify-all", "--ids", "7", "8"],
 ]
 
+_TABLE_PROBE = """
+import io
+from contextlib import redirect_stdout
+import qig.cli
+from qig import analysis
+
+def built():
+    return [analysis._scan_table.cache_info().currsize,
+            analysis._node_table.cache_info().currsize]
+
+after_import = built()
+with redirect_stdout(io.StringIO()):
+    code = qig.cli.main(["bound-radius"])
+print(*after_import, *built(), code)
+"""
+
 _IMPORT_PROBE = """
 import io, json, sys
 from contextlib import redirect_stdout
@@ -369,3 +385,8 @@ class TestImportBoundary:
         # fractions pulls in decimal; only the exact profile derivation needs it
         out = _fresh_python("import sys, qig.cli; print('fractions' in sys.modules)")
         assert out.strip() == "False"
+
+    def test_import_and_bound_radius_build_no_tables(self):
+        # cli-startup must never pay for the scan grid or the quadrature nodes
+        out = _fresh_python(_TABLE_PROBE)
+        assert out.split() == ["0"] * 5
