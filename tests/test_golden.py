@@ -22,7 +22,7 @@ COMMANDS = {
        for n in (2, 3, 4, 5, 6)},
     **{f"gm_trace_{metric}_n{n}": ["gm-trace", "--metric", metric, "--n", str(n),
                                    "--r", "0.63", "--theta", "0.9", "--phi", "2.3"]
-       for metric in ("helstrom", "yuen-lax", "quasi-bures") for n in (3, 4, 5)},
+       for metric in ("helstrom", "yuen-lax", "quasi-bures") for n in (3, 4, 5, 7, 20)},
     "gm_trace_quasi-bures_n6_default_angles": ["gm-trace", "--metric", "quasi-bures",
                                                "--n", "6", "--r", "0.4"],
     **{f"curves_figure{k}": ["curves", "--figure", str(k)] for k in range(1, 7)},
