@@ -35,7 +35,7 @@ for n in (2, 3, 4, 5, 6):
     pure = limit_trace("helstrom", n, "pure")
     print(f"{n:>3} {mixed:>11.5f} {pure:>10.5f} {2*n-1:>5}")
 
-print("\nGM_7 has no matrix here, but its trace polynomial is tabulated:")
+print("\nthe trace polynomial is derived for every N, e.g. N = 7:")
 print(f"  GM_7(0) = {gm_trace_reference(7, 0.0)},  GM_7(1) = {gm_trace_reference(7, 1.0)}")
 
 # radial profile of the scaled traces (the first figure's data)

@@ -69,7 +69,6 @@ from .analysis import (
     limit_trace,
     min_dominating_scalar,
     modified_trace_reference,
-    near_origin_diagnostic,
     scaled_curve_intersection,
     scan_dominance,
     trace_limit_reference,

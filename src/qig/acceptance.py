@@ -7,8 +7,10 @@ returning (passed, detail); the CLI prints one ledger line per check and
 the test suite asserts each one, so both surfaces run the same code.
 
 Reference targets appearing here (pi^2, 21.0235, 35.0281, 51.0763, 69.1253,
-88.8621, 0.992348, 0.395121, 144.372, 0.0832258, the 2N-1 and N-1 trace limits, ...)
-are the tabulated values this package is built to reproduce.
+88.8621, 0.992348, 0.395121, 144.372, 0.0832258, the 2N-1 and N-1 trace limits,
+the Gill-Massar and Yuen-Lax trace polynomials, ...) are the tabulated values
+this package is built to reproduce; the package derives its own traces, so
+the polynomials live here, as the independent oracle of checks 4 and 8.
 """
 
 from __future__ import annotations
@@ -117,23 +119,43 @@ def check_spherical_diagonalization(n_points=100):
     return worst <= 1e-9, f"congruence vs diagonal forms, N=4,6: rel {worst:.2e} (<=1e-9)"
 
 
+#: the paper's Gill-Massar polynomials GM_N = trace(H_q^-1 F_N), N = 2..7: numerator
+#: coefficients in x = r^2, lowest first, and denominator.  The oracle of check 4.
+_GM_TABLE = {2: ((3,), 1), 3: ((5,), 1), 4: ((29, -1), 4), 5: ((19, -1), 2),
+             6: ((95, -8, 1), 8), 7: ((57, -6, 1), 4)}
+#: the paper's Yuen-Lax traces (1 - x) trace(F_N), N = 2, 4, 5, 6, in the same form; N = 5
+#: adds a term in theta, the colatitude from (1,1,1)/sqrt(3) (_tabulated).  The oracle of check 8.
+_YUEN_LAX_TABLE = {2: ((3, -2), 1), 4: ((87, -61, 10), 12), 5: ((147, -96, 13), 16),
+                   6: ((1425, -1070, 307, -62), 120)}
+
+
+def _tabulated(table, n_copies, r, theta=None):
+    """A tabulated trace at radius r, a float or an array."""
+    x = np.asarray(r, dtype=float) ** 2
+    coeffs, den = table[n_copies]
+    t = np.polynomial.polynomial.polyval(x, coeffs) / den
+    if table is _YUEN_LAX_TABLE and n_copies == 5:
+        t = t + 10.0 * (x - 1.0) ** 3 / (16.0 * (x + x * np.cos(2.0 * theta) - 2.0))
+    return t
+
+
 def check_gm_traces(n_points=100):
     worst = 0.0
     for v in _interior_points(n_points):
         c = bloch.BlochCartesian(*v)
-        for n in range(2, 8):
-            got = analysis.gm_trace(infogeo.HELSTROM, n, c)
-            ref = povm.gm_trace_reference(n, c.r)
-            worst = max(worst, abs(got - ref) / abs(ref))
+        for n in _GM_TABLE:
+            ref = _tabulated(_GM_TABLE, n, c.r)
+            for got in (analysis.gm_trace(infogeo.HELSTROM, n, c), povm.gm_trace_reference(n, c.r)):
+                worst = max(worst, abs(got - ref) / abs(ref))
     worst_lim = 0.0
-    for n in range(2, 8):
+    for n in _GM_TABLE:
         pure = analysis.limit_trace(infogeo.HELSTROM, n, "pure")
         mixed = analysis.limit_trace(infogeo.HELSTROM, n, "mixed")
         worst_lim = max(worst_lim,
                         abs(pure - (2.0 * n - 1.0)),
-                        abs(mixed - povm.gm_trace_reference(n, 0.0)))
-    gm7_pure = povm.gm_trace_reference(7, 1.0)
-    gm7_mixed = povm.gm_trace_reference(7, 0.0)
+                        abs(mixed - _tabulated(_GM_TABLE, n, 0.0)))
+    gm7_pure = float(_tabulated(_GM_TABLE, 7, 1.0))
+    gm7_mixed = float(_tabulated(_GM_TABLE, 7, 0.0))
     ok = (worst <= 1e-9 and worst_lim <= 1e-5
           and gm7_pure == 13.0 and gm7_mixed == 14.25)
     return ok, (f"traces vs polynomials rel {worst:.2e} (<=1e-9), endpoint limits abs "
@@ -193,10 +215,12 @@ def check_modified_traces(n_points=100):
     for v in _interior_points(n_points):
         c = bloch.BlochCartesian(*v)
         theta_diag = analysis.diagonal_colatitude(c)
-        for n in (2, 4, 5, 6):
-            got = analysis.gm_trace(infogeo.YUEN_LAX, n, c)
-            ref = analysis.modified_trace_reference(infogeo.YUEN_LAX, n, c.r, theta=theta_diag)
-            worst = max(worst, abs(got - ref) / abs(ref))
+        for n in _YUEN_LAX_TABLE:
+            ref = _tabulated(_YUEN_LAX_TABLE, n, c.r, theta_diag)
+            for got in (analysis.gm_trace(infogeo.YUEN_LAX, n, c),
+                        analysis.modified_trace_reference(infogeo.YUEN_LAX, n, c.r,
+                                                          theta=theta_diag)):
+                worst = max(worst, abs(got - ref) / abs(ref))
     worst_yl = max(abs(analysis.limit_trace(infogeo.YUEN_LAX, n, "pure") - (n - 1.0))
                    for n in (2, 4, 5, 6))
     worst_qb = max(abs(analysis.limit_trace(infogeo.QUASI_BURES, n, "pure")

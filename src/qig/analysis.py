@@ -9,9 +9,10 @@ their endpoint limits, the matrix-dominance structure c*H_q >= F_N and its
 tight scalar, the Bloch-ball volume integrals of sqrt(det F_N), and sampled
 curve tables suitable for reproducing the figures.
 
-The traces, reference polynomials and curves are evaluated on arrays of
-points or radii in one call each; :func:`gm_trace` and the other
-point-wise functions are wrappers that validate one state.
+Every trace, reference polynomial and trace curve sums the two pole-free
+parts of ``povm._trace_parts``, so none builds a 3x3 matrix.  They are
+evaluated on arrays of points or radii in one call each; :func:`gm_trace`
+and the other point-wise functions are wrappers that validate one state.
 
 Scans use a deterministic low-discrepancy grid (Halton, fixed seed below)
 of ball points plus a dense radial line near r = 1, where all known
@@ -63,7 +64,6 @@ __all__ = [
     "scan_dominance",
     "min_dominating_scalar",
     "dominance_boundary_radius",
-    "near_origin_diagnostic",
     "volume_integral",
     "scaled_curve_intersection",
     "curve_sample",
@@ -102,32 +102,29 @@ class NonConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 def _gm_trace_batch(metric, n_copies: int, xyz) -> np.ndarray:
-    """gm_trace at points of shape (..., 3), all with 0 < r < 1."""
-    xyz = np.asarray(xyz, dtype=float)
-    r2, _ = _invariants(xyz)
+    """gm_trace at points of shape (..., 3), all with 0 < r < 1, from povm._trace_parts."""
+    r2, t2 = _invariants(np.asarray(xyz, dtype=float))
     if np.any(r2 >= 1.0):
         raise PureStateError("gm_trace needs r < 1; use limit_trace('pure')")
     if np.any(r2 <= 0.0):
         raise ValueError("gm_trace needs r > 0; use limit_trace('mixed')")
-    f = povm.closed_form_batch(n_copies, xyz)
-    q = np.einsum("...i,...ij,...j->...", xyz, f, xyz) / r2
-    a = infogeo._angular_scale(metric, np.sqrt(r2))
-    return (1.0 - r2) * q + (np.trace(f, axis1=-2, axis2=-1) - q) / a
+    first, second = povm._trace_parts(n_copies, r2, t2 / r2)
+    return first + second / infogeo._angular_scale(metric, np.sqrt(r2))
 
 
 def gm_trace(metric, n_copies: int, c: BlochCartesian) -> float:
     """trace(G(metric)^{-1} F_N) at an interior state, 0 < r < 1.
 
-    Coordinate-system independent, and evaluated without a chart: G^{-1} is
-    1-r^2 along the radial unit vector and 1/(r^2 a) on the tangent plane,
-    a(r) = g(s)/(1+r), so with v the state and q = v^T F_N v / r^2
+    Coordinate-system independent, and evaluated without a chart or a
+    matrix: G^{-1} is 1-r^2 along the radial unit vector and 1/(r^2 a) on the
+    tangent plane, a(r) = g(s)/(1+r), so with v the state and
+    q = v^T F_N v / r^2
 
         trace = (1-r^2) q + (trace F_N - q) / a,
 
-    which for Helstrom (a = 1) is trace F_N - v^T F_N v.  States on the
-    polar axis of the x-polar chart need no special care.  Endpoints are
-    excluded (the Helstrom metric is singular at r = 1, the angular parts
-    of others at r = 0); use :func:`limit_trace` there.
+    whose two parts ``povm._trace_parts`` gives without a pole.  Endpoints
+    are excluded (the Helstrom metric is singular at r = 1, the angular
+    parts of others at r = 0); use :func:`limit_trace` there.
     """
     return float(_gm_trace_batch(metric, n_copies, c.as_array()))
 
@@ -135,8 +132,8 @@ def gm_trace(metric, n_copies: int, c: BlochCartesian) -> float:
 def diagonal_colatitude(c: BlochCartesian) -> float:
     """Colatitude of a state from the (1,1,1)/sqrt(3) axis: acos((x+y+z)/(sqrt(3) r)).
 
-    This is the angle the N = 5 modified-trace closed form depends on; the
-    measurement family singles out the diagonal direction, so its traces are
+    This is the angle the odd-N modified traces depend on; the odd-N
+    measurements single out the diagonal direction, so their traces are
     symmetric about that axis rather than the x-polar one.
     """
     r = c.r
@@ -146,39 +143,30 @@ def diagonal_colatitude(c: BlochCartesian) -> float:
 
 
 def modified_trace_reference(metric, n_copies: int, r, theta=None):
-    """Closed-form Yuen-Lax (right-logarithmic-derivative) modified traces.
+    """Yuen-Lax (right-logarithmic-derivative) modified traces, N in SUPPORTED_MATRICES.
 
     The Yuen-Lax metric is conformal in Cartesian coordinates
-    (G = I/(1-r^2)), so these traces are (1-r^2) * trace(F_N).  Available
-    for N = 2, 4, 5, 6; all equal N - 1 at r = 1 and coincide with the
-    Helstrom traces at r = 0.  Accepts floats (returns a float) or arrays.
+    (G = I/(1-r^2)), so these traces are (1-r^2) * trace(F_N): the first
+    part of ``povm._trace_parts`` plus 1-r^2 times the second.  All equal
+    N - 1 at r = 1 and coincide with the Helstrom traces at r = 0.  Accepts
+    floats (returns a float) or arrays.
 
-    The N = 5 form carries an angle-dependent term, so theta is required
-    there.  theta is the colatitude from the DIAGONAL axis (1,1,1)/sqrt(3)
-    (see :func:`diagonal_colatitude`), the symmetry axis of the five-copy
-    family -- not the x-polar chart angle.  For even N the closed forms are
-    direction-free, matching the permutation symmetry of the matrices.
+    Odd N carries an angle-dependent term, so theta is required there.
+    theta is the colatitude from the DIAGONAL axis (1,1,1)/sqrt(3) (see
+    :func:`diagonal_colatitude`), the symmetry axis of the odd-N families --
+    not the x-polar chart angle.  For even N the traces are direction-free,
+    matching the rotation invariance of the matrices.
     """
     metric = as_metric_kind(metric)
     if metric.name != "yuen_lax":
         raise ValueError("closed-form modified traces are available for the "
                          "yuen_lax metric only")
+    if n_copies % 2 and theta is None:
+        raise ValueError(f"the N = {n_copies} modified trace depends on theta; pass theta")
     r2 = np.asarray(r, dtype=float) ** 2
-    if n_copies == 2:
-        t = 3.0 - 2.0 * r2
-    elif n_copies == 4:
-        t = (87.0 - 61.0 * r2 + 10.0 * r2 * r2) / 12.0
-    elif n_copies == 5:
-        if theta is None:
-            raise ValueError("the N = 5 modified trace depends on theta; pass theta")
-        denom = r2 + r2 * np.cos(2.0 * np.asarray(theta, dtype=float)) - 2.0
-        t = (147.0 - 96.0 * r2 + 13.0 * r2 * r2
-             + 10.0 * (r2 - 1.0) ** 3 / denom) / 16.0
-    elif n_copies == 6:
-        t = (1425.0 - 1070.0 * r2 + 307.0 * r2 * r2 - 62.0 * r2 ** 3) / 120.0
-    else:
-        raise povm.UnsupportedNError(
-            f"closed-form modified traces exist for N in (2, 4, 5, 6), got {n_copies}")
+    cos2 = 0.0 if theta is None else np.cos(np.asarray(theta, dtype=float)) ** 2
+    first, second = povm._trace_parts(n_copies, r2, cos2)
+    t = first + (1.0 - r2) * second
     return float(t) if t.ndim == 0 else t
 
 
@@ -211,16 +199,12 @@ def trace_limit_reference(metric, n_copies: int, endpoint: str) -> float:
     Every rotationally invariant metric gives trace (N-1) + 2N/g(0+) at
     r = 1 (g(0+) = 2 for Helstrom, e for quasi-Bures, infinity for
     Yuen-Lax, hence 2N-1, (N-1) + 2N/e, and N-1), and the metrics all
-    coincide at r = 0, where the trace is the Gill-Massar value GM_N(0): the
-    tabulated polynomial for N <= 7, and 3(N-1) + 3A(0) + C(0) from the
-    derived profile of R_N (``povm``) beyond.
+    coincide at r = 0, where the trace is the Gill-Massar value
+    :func:`~qig.povm.gm_trace_reference` at 0, 3(N-1) + 3A(0) + C(0).
     """
     metric = as_metric_kind(metric)
     if endpoint == "mixed":
-        if n_copies in povm.SUPPORTED_TRACES:
-            return povm.gm_trace_reference(n_copies, 0.0)
-        a, _, c = povm._profile(n_copies, 0.0)
-        return 3.0 * (n_copies - 1) + 3.0 * a + c
+        return povm.gm_trace_reference(n_copies, 0.0)
     if endpoint != "pure":
         raise ValueError(f"endpoint must be 'pure' or 'mixed', got {endpoint!r}")
     g0 = {"helstrom": 2.0, "quasi_bures": math.e, "yuen_lax": math.inf}.get(metric.name)
@@ -415,17 +399,6 @@ def min_dominating_scalar(n_copies: int,
         raise RuntimeError(f"{n_copies}*H_q fails to dominate F_{n_copies} (c = {c!r}); "
                            "the Cramer-Rao cap must hold, so the grid or matrices are wrong")
     return c
-
-
-def near_origin_diagnostic(n_copies: int, eps: float = 1e-3) -> np.ndarray:
-    """Eigenvalues of F_N(eps, 0, 0) divided by N/2, smallest first.
-
-    Near the fully mixed state the Fisher matrices appear to approach
-    (N/2) * identity from above; that is a conjecture, so this is reported
-    as a diagnostic (ratios > 1 support it) rather than asserted.
-    """
-    f = povm.fisher_closed_form(n_copies, BlochCartesian(eps, 0.0, 0.0))
-    return np.linalg.eigvalsh(f.entries) / (n_copies / 2.0)
 
 
 def dominance_boundary_radius() -> float:

@@ -91,8 +91,8 @@ def _scalar(text):
 _scalar.__name__ = "float"  # argparse names the type in "invalid float value"
 
 #: most points per curve for ``curves --grid``.  The rows stream to the output:
-#: 100,000 peak at 36-41 MB of RSS (figure 6, on 3x3 matrices, at 65 MB) and take
-#: 0.9-1.6 s per figure on a 2-core host; 1,000,000 took 9-11 s and 92 MB (figure 1)
+#: 100,000 peak at 36-43 MB of RSS (figure 6, the largest, at 43 MB) and take
+#: 0.8-1.9 s per figure on a 2-core host; 1,000,000 took 9-11 s and 92 MB (figure 1)
 MAX_GRID = 100_000
 
 

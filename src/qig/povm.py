@@ -30,6 +30,16 @@ The closed forms are array kernels: :func:`closed_form_batch` and
 functions validate a single state, call the kernel and wrap the result in
 an ``InfoMatrix``.
 
+Every trace of F_N comes from the profile, without a matrix (:func:`_trace_parts`).
+With x = r^2, q = v.F_N.v / x, cos2 = (a.v)^2 / x in [0, 1] and C^ = C/(1 - x cos2),
+
+    (1 - x) q     = N - 1 + (1 - x)(A + B x + C^ cos2),
+    trace F_N - q = 2(N - 1 + A) + C^ (1 - cos2),
+
+and neither part has a pole on the closed ball.  A metric of angular scale a_g
+gives trace(G^{-1} F_N) = (1 - x) q + (trace F_N - q)/a_g; for Helstrom (a_g = 1)
+that is the Gill-Massar polynomial 3(N - 1) + (3 - x) A + x (1 - x) B + C.
+
 The eigenvalues of H_q^{-1} F_N are closed-form: the largest is the tight c of
 c H_q >= F_N, their product (1 - r^2) det F_N.  Even N gives (b, a, a) of _even_profile,
 a = N - 1 + A and b = N - 1 + (1 - r^2)(A + B r^2).
@@ -75,7 +85,6 @@ __all__ = [
     "fully_mixed_entry11_limit",
     "SUPPORTED_MODELS",
     "SUPPORTED_MATRICES",
-    "SUPPORTED_TRACES",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -85,8 +94,6 @@ _SQRT3 = math.sqrt(3.0)
 SUPPORTED_MODELS = (2, 3)
 #: copy counts with a closed-form Fisher matrix (float error < 8e-16 to N = 20, 8e-14 at 40)
 SUPPORTED_MATRICES = tuple(range(2, 21))
-#: copy counts with a Gill-Massar trace polynomial
-SUPPORTED_TRACES = (2, 3, 4, 5, 6, 7)
 
 
 class UnsupportedNError(ValueError):
@@ -326,29 +333,25 @@ def fisher_spherical_diag(n_copies: int, s: BlochSpherical) -> InfoMatrix:
 # Reference polynomials and limits
 # ---------------------------------------------------------------------------
 
-def gm_trace_reference(n_copies: int, r):
-    """Gill-Massar trace trace(H_q^{-1} F_N) as a polynomial in r, N in 2..7.
+def _trace_parts(n_copies: int, r2, cos2) -> tuple:
+    """((1 - x) q, trace F_N - q) at x = r^2, cos2 = (a.v)^2 / x; exact on Fractions."""
+    a, b, c = _profile(n_copies, r2)
+    c_hat = c / (1 - r2 * cos2)
+    return (n_copies - 1 + (1 - r2) * (a + b * r2 + c_hat * cos2),
+            2 * (n_copies - 1 + a) + c_hat * (1 - cos2))
 
-    Accepts a float (returns a float) or an array of radii.  All six equal
-    2N - 1 at r = 1; for separable measurements the trace cannot exceed N,
-    so every value above N certifies a non-separable gain.
+
+def gm_trace_reference(n_copies: int, r):
+    """Gill-Massar trace trace(H_q^{-1} F_N) as a polynomial in r, N in SUPPORTED_MATRICES.
+
+    3(N - 1) + (3 - x) A + x (1 - x) B + C with x = r^2, the sum of the two
+    parts of :func:`_trace_parts`.  Accepts a float (returns a float) or an
+    array of radii.  Every N gives 2N - 1 at r = 1; for separable
+    measurements the trace cannot exceed N, so every value above N certifies
+    a non-separable gain.
     """
-    r2 = np.asarray(r, dtype=float) ** 2
-    if n_copies == 2:
-        t = np.full(r2.shape, 3.0)
-    elif n_copies == 3:
-        t = np.full(r2.shape, 5.0)
-    elif n_copies == 4:
-        t = (29.0 - r2) / 4.0
-    elif n_copies == 5:
-        t = (19.0 - r2) / 2.0
-    elif n_copies == 6:
-        t = (95.0 - 8.0 * r2 + r2 * r2) / 8.0
-    elif n_copies == 7:
-        t = (57.0 - 6.0 * r2 + r2 * r2) / 4.0
-    else:
-        raise UnsupportedNError(
-            f"Gill-Massar reference traces exist for N in {SUPPORTED_TRACES}, got {n_copies}")
+    first, second = _trace_parts(n_copies, np.asarray(r, dtype=float) ** 2, 0.0)
+    t = first + second
     return float(t) if t.ndim == 0 else t
 
 
@@ -383,7 +386,7 @@ def fully_mixed_entry11(n_copies: int, theta: float, phi: float) -> float:
         c2 = math.cos(theta) ** 2
         return (456.0 * c2 + 7.0 * s2t * (cp + sp) + st2 * (456.0 + 7.0 * s2p)) / 96.0
     raise UnsupportedNError(
-        f"fully mixed (1,1) entries exist for N in {SUPPORTED_TRACES}, got {n_copies}")
+        f"fully mixed (1,1) entries are tabulated for N in 2..7, got {n_copies}")
 
 
 def fully_mixed_entry11_limit(n_copies: int, theta: float, phi: float) -> float:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qig import analysis, bloch, infogeo, povm
+from qig import acceptance, analysis, bloch, infogeo, povm
 from qig.analysis import (
     CurveTable,
     NonConvergenceError,
@@ -47,7 +47,7 @@ def interior_points(n=30, seed=9):
 
 
 def _summed_gm_trace(metric, n, xyz):
-    """_gm_trace_batch as first written, r^2 from np.sum: the bit-for-bit oracle."""
+    """gm_trace through the 3x3 matrix F_N, r^2 from np.sum: the matrix oracle."""
     r2 = np.sum(xyz * xyz, axis=-1)
     f = povm.closed_form_batch(n, xyz)
     q = np.einsum("...i,...ij,...j->...", xyz, f, xyz) / r2
@@ -55,16 +55,38 @@ def _summed_gm_trace(metric, n, xyz):
     return (1.0 - r2) * q + (np.trace(f, axis1=-2, axis2=-1) - q) / a
 
 
+def _assert_matches_the_matrix_trace(got, want, r2):
+    # the matrix path subtracts two terms of order 1/(1 - r^2); the kernel has no pole
+    assert np.all(np.abs(got - want) <= 4e-15 * np.abs(want) / (1.0 - r2))
+
+
 class TestGmTrace:
     @pytest.mark.parametrize("metric", ["helstrom", "yuen_lax", "quasi_bures"])
-    def test_matches_the_summed_form_bit_for_bit(self, metric):
+    def test_matches_the_matrix_form(self, metric):
         pts = analysis.ball_grid()
+        r2 = np.sum(pts * pts, axis=-1)
         for n in (2, 3, 4, 5, 6):
-            assert np.array_equal(analysis._gm_trace_batch(metric, n, pts),
-                                  _summed_gm_trace(metric, n, pts))
+            _assert_matches_the_matrix_trace(analysis._gm_trace_batch(metric, n, pts),
+                                             _summed_gm_trace(metric, n, pts), r2)
             for v in interior_points(5):
-                assert gm_trace(metric, n, BlochCartesian(*v)) == float(
-                    _summed_gm_trace(metric, n, v))
+                _assert_matches_the_matrix_trace(gm_trace(metric, n, BlochCartesian(*v)),
+                                                 _summed_gm_trace(metric, n, v), v @ v)
+
+    def test_traces_and_curves_build_no_matrix(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a trace or curve path built a 3x3 matrix")
+
+        monkeypatch.setattr(povm, "closed_form_batch", refuse)
+        monkeypatch.setattr(infogeo, "helstrom_batch", refuse)
+        c = BlochCartesian(0.3, -0.2, 0.45)
+        for metric in ("helstrom", "yuen_lax", "quasi_bures"):
+            for n in (2, 3, 4, 5, 6):
+                gm_trace(metric, n, c)
+        limit_trace("quasi_bures", 5, "pure")
+        limit_trace("helstrom", 5, "mixed")
+        scaled_curve_intersection()
+        for quantity in analysis.CURVE_QUANTITIES:
+            curve_sample(quantity)
 
     def test_two_copies_give_three_everywhere(self):
         for v in interior_points(10):
@@ -73,9 +95,9 @@ class TestGmTrace:
     def test_matches_reference_polynomials(self):
         for v in interior_points(20):
             c = BlochCartesian(*v)
-            for n in (3, 4, 5, 6):
+            for n in acceptance._GM_TABLE:
                 assert gm_trace("helstrom", n, c) == pytest.approx(
-                    povm.gm_trace_reference(n, c.r), rel=1e-10)
+                    acceptance._tabulated(acceptance._GM_TABLE, n, c.r), rel=1e-10)
 
     def test_yuen_lax_two_copies(self):
         c = bloch.to_cartesian(BlochSpherical(0.5, 1.3, 0.4))
@@ -155,16 +177,17 @@ class TestModifiedTraces:
         assert modified_trace_reference("yuen_lax", 5, 0.0, theta=0.9) == pytest.approx(9.5)
 
     def test_theta_required_for_five_copies(self):
-        with pytest.raises(ValueError):
-            modified_trace_reference("yuen_lax", 5, 0.5)
+        for n in (3, 5, 7, 19):
+            with pytest.raises(ValueError):
+                modified_trace_reference("yuen_lax", n, 0.5)
 
     def test_matches_computed_traces(self):
         for v in interior_points(20):
             c = BlochCartesian(*v)
             theta_diag = diagonal_colatitude(c)
-            for n in (2, 4, 5, 6):
-                got = gm_trace("yuen_lax", n, c)
-                want = modified_trace_reference("yuen_lax", n, c.r, theta=theta_diag)
+            for n in povm.SUPPORTED_MATRICES:
+                got = modified_trace_reference("yuen_lax", n, c.r, theta=theta_diag)
+                want = (1.0 - c.r2) * np.trace(povm.closed_form_batch(n, v))
                 assert got == pytest.approx(want, rel=1e-10)
 
     def test_array_input_equals_float_input(self):
@@ -215,10 +238,10 @@ class TestLimitTrace:
         assert abs(trace_limit_reference("helstrom", n, "mixed")
                    - limit_trace("helstrom", n, "mixed")) <= 1e-5
 
-    def test_mixed_reference_keeps_the_table_through_seven(self, monkeypatch):
-        monkeypatch.setattr(povm, "_profile", None)  # the derivation is not consulted
-        for n in povm.SUPPORTED_TRACES:
-            assert trace_limit_reference("helstrom", n, "mixed") == povm.gm_trace_reference(n, 0.0)
+    def test_mixed_reference_keeps_the_table_through_seven(self):
+        for n in acceptance._GM_TABLE:
+            want = acceptance._tabulated(acceptance._GM_TABLE, n, 0.0)
+            assert trace_limit_reference("helstrom", n, "mixed") == pytest.approx(want, rel=1e-15)
 
 
 class TestDominance:
@@ -313,12 +336,6 @@ class TestDominance:
     def test_region_touching_boundary_rejected(self):
         with pytest.raises(ValueError):
             min_dominating_scalar(6, (0.0, 1.0))
-
-    def test_near_origin_diagnostic_reports_ratios(self):
-        for n in (3, 4, 5, 6):
-            ratios = analysis.near_origin_diagnostic(n)
-            assert ratios.shape == (3,)
-            assert np.all(ratios > 0.999)  # conjecture: approached from above
 
 
 def _invariant_even_fisher(n, xyz):
@@ -601,14 +618,15 @@ class TestCurves:
         for t in tables:
             assert t.value[-1] == pytest.approx(1.0, abs=1e-4)
 
-    def test_qb_scaled_matches_the_summed_trace_bit_for_bit(self):
+    def test_qb_scaled_matches_the_matrix_trace(self):
         grid = np.linspace(0.005, 0.995, 199)
         st = math.sin(analysis.THETA0)
         xyz = grid[:, None] * [math.cos(analysis.THETA0), st * math.cos(analysis.PHI0),
                                st * math.sin(analysis.PHI0)]
         for t in curve_sample("qb_scaled"):
             n = int(t.label.split("_N")[1].split("_")[0])
-            assert np.array_equal(t.value, _summed_gm_trace("quasi_bures", n, xyz) / t.scaling)
+            _assert_matches_the_matrix_trace(
+                t.value, _summed_gm_trace("quasi_bures", n, xyz) / t.scaling, grid * grid)
 
     def test_unknown_quantity(self):
         with pytest.raises(ValueError):

@@ -78,7 +78,8 @@ class TestMatrixCommands:
         assert code == 0
         assert json.loads(out)["matrix"][0] == pytest.approx([4.75, 7 / 96, 7 / 96])
         code, out = run_cli(capsys, "gm-trace", "--metric", "helstrom", "--n", "7", "--r", "0.5")
-        assert code == 0 and json.loads(out) == pytest.approx(povm.gm_trace_reference(7, 0.5))
+        assert code == 0 and json.loads(out) == pytest.approx(
+            acceptance._tabulated(acceptance._GM_TABLE, 7, 0.5))
         code, out = run_cli(capsys, "volume", "--n", "7")
         assert code == 0 and json.loads(out) == pytest.approx(88.8621, rel=5e-4)
         code, out = run_cli(capsys, "dominance", "--n", "7")

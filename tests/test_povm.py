@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
-from qig import bloch, coding, infogeo, povm
+from qig import analysis, bloch, coding, infogeo, povm
 from qig.bloch import BlochCartesian, BlochSpherical, PureStateError
 from qig.povm import (
     UnsupportedNError,
@@ -426,7 +427,7 @@ class TestGmTraceReference:
         assert gm_trace_reference(7, 0.0) == pytest.approx(14.25)
 
     def test_pure_limit_follows_2n_minus_1(self):
-        for n in range(2, 8):
+        for n in povm.SUPPORTED_MATRICES:
             assert gm_trace_reference(n, 1.0) == pytest.approx(2 * n - 1)
 
     def test_monotone_decrease_for_n6_n7(self):
@@ -436,15 +437,112 @@ class TestGmTraceReference:
             assert all(b <= a for a, b in zip(vals, vals[1:]))
 
     def test_unsupported_n(self):
-        with pytest.raises(UnsupportedNError):
-            gm_trace_reference(8, 0.5)
+        for n in (1, 21):
+            with pytest.raises(UnsupportedNError):
+                gm_trace_reference(n, 0.5)
 
     def test_array_input_equals_float_input(self):
         grid = np.linspace(0.0, 1.0, 101)
-        for n in range(2, 8):
+        for n in povm.SUPPORTED_MATRICES:
             floats = [gm_trace_reference(n, r) for r in grid]
             assert all(type(t) is float for t in floats)
             assert np.array_equal(gm_trace_reference(n, grid), floats)
+
+
+def _trimmed(coeffs) -> list:
+    coeffs = list(coeffs)
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _value(p, x):
+    """p (coefficients, lowest first) at x by Horner, exact on Fractions."""
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _derivative(p) -> list:
+    return _trimmed([k * c for k, c in enumerate(p)][1:] or [Fraction(0)])
+
+
+def _remainder(p, q) -> list:
+    p = list(p)
+    while len(p) >= len(q):
+        f = p[-1] / q[-1]
+        for i, c in enumerate(q):
+            p[len(p) - len(q) + i] -= f * c
+        p.pop()  # the leading coefficient, now exactly 0
+    return _trimmed(p or [Fraction(0)])
+
+
+def _roots_between(p, a, b) -> int:
+    """Distinct real roots of p in (a, b), by Sturm's theorem; p(a), p(b) must not vanish."""
+    assert _value(p, a) != 0 and _value(p, b) != 0
+    chain = [_trimmed(p), _derivative(p)]
+    while chain[-1] != [0]:
+        chain.append([-c for c in _remainder(chain[-2], chain[-1])])
+    chain.pop()
+
+    def sign_changes(x):
+        signs = [v > 0 for v in (_value(q, x) for q in chain) if v != 0]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    return sign_changes(a) - sign_changes(b)
+
+
+def _exact_trace(n) -> list:
+    """T_N = trace(H_q^-1 F_N) = 3(N-1) + (3-x) A + x(1-x) B + C, exact in x = r^2."""
+    x = Polynomial([Fraction(0), Fraction(1)])
+    a, b, c = povm._profile(n, x)
+    return _trimmed((3 * (n - 1) + (3 - x) * a + x * (1 - x) * b + c).coef)
+
+
+class TestHeadlineCertificate:
+    """The abstract's claim, exactly: T_N falls from T_N(0) to 2N - 1 and stays above N."""
+
+    @pytest.mark.parametrize("n", povm.SUPPORTED_MATRICES)
+    def test_pure_limit_is_2n_minus_1(self, n):
+        assert _value(_exact_trace(n), 1) == 2 * n - 1
+
+    @pytest.mark.parametrize("n", povm.SUPPORTED_MATRICES)
+    def test_minimum_is_at_the_pure_limit(self, n):
+        t = _exact_trace(n)
+        if n < 4:
+            assert t == [{2: 3, 3: 5}[n]]
+            return
+        slope = _derivative(t)
+        while slope[0] == 0:  # a root at x = 0 is allowed: divide it out
+            slope = slope[1:]
+        assert _value(slope, 1) < 0 and _roots_between(slope, 0, 1) == 0
+
+    @pytest.mark.parametrize("n", povm.SUPPORTED_MATRICES)
+    def test_exceeds_the_separable_cap_on_the_closed_ball(self, n):
+        excess = _exact_trace(n)
+        excess[0] -= n
+        assert _value(excess, 0) > 0 and _roots_between(excess, 0, 1) == 0
+
+    def test_sturm_count_finds_known_roots(self):
+        # (x - 1/3)^2 (x - 1/2)(x + 1): two distinct roots in (0, 1), none at its ends
+        p = [Fraction(1)]
+        for root in (Fraction(1, 3), Fraction(1, 3), Fraction(1, 2), Fraction(-1)):
+            p = [a - root * b for a, b in zip([Fraction(0)] + p, p + [Fraction(0)])]
+        assert _roots_between(p, 0, 1) == 2
+        assert _roots_between(p, Fraction(2, 5), 1) == 1
+
+    def test_helstrom_kernel_matches_exact_values(self):
+        rng = np.random.default_rng(21)
+        radii = np.concatenate([rng.uniform(0.01, 1.0, 30), 1.0 - np.geomspace(1e-2, 1e-6, 10)])
+        dirs = rng.normal(size=(radii.size, 3))
+        pts = radii[:, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None]
+        for n in povm.SUPPORTED_MATRICES:
+            t = _exact_trace(n)
+            got = analysis._gm_trace_batch("helstrom", n, pts)
+            for v, g in zip(pts, got):
+                want = _value(t, sum(Fraction(c) ** 2 for c in v))
+                assert abs(Fraction(g) - want) <= Fraction(1e-15) * want, (n, v)
 
 
 class TestFullyMixedEntry:
