@@ -57,7 +57,7 @@ def _rel(a, b):
 
 
 def _fd_fisher(model, c, h=1e-5):
-    """Finite-difference Fisher oracle, independent of the dual-number path."""
+    """Finite-difference Fisher oracle, independent of the complex-step path."""
     v = c.as_array()
     p = model.eval(c)
     grad = np.empty((model.n_outcomes, 3))

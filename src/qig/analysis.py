@@ -409,6 +409,11 @@ def dominance_boundary_radius() -> float:
     123.8, and that numerator changes sign here (near 0.992348).  The
     smaller root of the quadratic in r^2 is taken in the cancellation-free
     form 2c / (b + sqrt(b^2 - 4ac)).
+
+    The literals are 120 b_6 = 475 + 172 r^2 - 47 r^4 of ``povm._sectors(6)``
+    and 120 * 4.99 - 475, pinned to it by the tests.  Deriving them here costs
+    ``qig bound-radius`` 5-7 ms (``fractions`` and the sectors), and in floats
+    120 * 4.99 - 475 = 123.80000000000007, which moves the root by 4 ulp.
     """
     a, b, c = 47.0, 172.0, 123.8
     return math.sqrt(2.0 * c / (b + math.sqrt(b * b - 4.0 * a * c)))

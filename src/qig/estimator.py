@@ -15,7 +15,9 @@ reports are deterministic per (seed, M, R).
 
 The likelihood is maximized over the Cartesian ball (radius capped at
 1 - 1e-9) by projected gradient ascent from the caller's initial point,
-with exact dual-number gradients, Barzilai-Borwein steps, and an Armijo
+with exact gradients (a complex step through the model's ``formula``, which
+must be analytic: +, -, *, /, integer powers and numpy ufuncs, never ``abs``,
+comparisons or ``np.maximum``), Barzilai-Borwein steps, and an Armijo
 backtracking safeguard.  Models whose probabilities depend only on
 (x^2, y^2, z^2) -- the quadrinomial being the canonical case -- have
 sign-symmetric likelihoods; the returned branch is the one reachable from
@@ -31,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import infogeo
-from ._dual import Dual, seed_xyz
 from .bloch import BlochCartesian
 from .infogeo import ProbModel, ZeroProbabilityError
 
@@ -112,20 +113,19 @@ def _loglik_grad(model: ProbModel, counts: np.ndarray, v: np.ndarray):
 
     A lane giving probability <= 0 to an observed outcome gets -inf.
     """
-    x, y, z = seed_xyz(v[:, 0], v[:, 1], v[:, 2])
+    x, y, z = v[:, 0], v[:, 1], v[:, 2]
     loglik = np.zeros(len(v))
     grad = np.zeros_like(v)
-    for n_i, term in zip(counts.T, model.formula(x, y, z)):
-        dual = isinstance(term, Dual)  # else a state-independent outcome
-        p = np.where(n_i > 0, term.val if dual else term, 1.0)  # unobserved: adds 0
+    partials = zip(*infogeo._partials(model.formula, x, y, z))
+    for n_i, term, (dx, dy, dz) in zip(counts.T, model.formula(x, y, z), partials):
+        p = np.where(n_i > 0, term, 1.0)  # unobserved: adds 0
         hit = p > 0.0
         p = np.where(hit, p, 1.0)
         loglik += np.where(hit, n_i * np.log(p), -math.inf)
-        if dual:
-            w = np.where(hit, n_i / p, 0.0)
-            grad[:, 0] += w * term.dx
-            grad[:, 1] += w * term.dy
-            grad[:, 2] += w * term.dz
+        w = np.where(hit, n_i / p, 0.0)
+        grad[:, 0] += w * dx
+        grad[:, 1] += w * dy
+        grad[:, 2] += w * dz
     return loglik, grad
 
 

@@ -17,6 +17,12 @@ distribution (x^2, y^2, z^2, 1-r^2) has Fisher information exactly 4*H_q,
 which together with additivity rules out any joint measurement on fewer
 than four copies realizing it.
 
+A :class:`ProbModel`'s gradients are a complex step through its one
+``formula``, dp/dx = Im p(x + ih, y, z)/h with h = 2^-100, exact to rounding
+(Squire and Trapp, SIAM Rev. 40, 110, 1998) if the formula is analytic:
++, -, *, /, integer powers, numpy ufuncs such as sqrt, exp and log.
+``abs``, comparisons and ``np.maximum`` would silently give wrong partials.
+
 The closed forms are array kernels over points of shape (..., 3) or radii
 of any shape: :func:`helstrom_batch` and :func:`g_function` (which also
 returns a float for a float).  The point-wise functions that take a
@@ -44,7 +50,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._dual import Dual, seed_xyz
 from .bloch import (
     BlochCartesian,
     BlochSpherical,
@@ -102,11 +107,12 @@ class ZeroProbabilityError(ValueError):
 class ProbModel:
     """A parameterized outcome distribution over Bloch-ball states.
 
-    ``formula`` maps coordinates (x, y, z) -- floats, numpy arrays, or
-    :class:`~qig._dual.Dual` numbers -- to the sequence of outcome
-    probabilities.  Values, exact gradients, and vectorized scans all come
-    from this single definition, so the gradients are exact (forward-mode
-    dual arithmetic), not finite differences.
+    ``formula`` maps coordinates (x, y, z) -- real or complex, floats or
+    numpy arrays -- to the sequence of outcome probabilities; values,
+    gradients (a complex step, :func:`_partials`) and vectorized scans all
+    come from it.  It must be analytic in x, y, z: +, -, *, /, integer
+    powers, numpy ufuncs such as sqrt, exp and log, never ``abs``,
+    comparisons or ``np.maximum``.  A constant outcome has gradient 0.
     """
 
     name: str
@@ -123,12 +129,7 @@ class ProbModel:
 
     def grad(self, point: BlochCartesian) -> np.ndarray:
         """Exact partial derivatives dp_i/d(x,y,z), shape (n_outcomes, 3)."""
-        x, y, z = seed_xyz(point.x, point.y, point.z)
-        out = np.zeros((self.n_outcomes, 3))
-        for i, t in enumerate(self.formula(x, y, z)):
-            if isinstance(t, Dual):
-                out[i] = (t.dx, t.dy, t.dz)
-        return out
+        return np.array(_partials(self.formula, point.x, point.y, point.z)).T
 
     def eval_xyz(self, x, y, z) -> np.ndarray:
         """Vectorized probabilities; returns shape (n_outcomes,) + broadcast shape."""
@@ -136,6 +137,23 @@ class ProbModel:
         shape = np.broadcast(np.asarray(x), np.asarray(y), np.asarray(z)).shape
         return np.stack([np.broadcast_to(np.asarray(t, dtype=float), shape)
                          for t in terms])
+
+
+#: the complex step: a power of two, so dividing by it is exact, and so small
+#: that the h^2 terms of Re and Im vanish against any probability
+_STEP = 2.0 ** -100
+
+
+def _partials(formula, x, y, z):
+    """The rows dp/dx, dp/dy, dp/dz of ``formula``'s outcomes, on floats or arrays.
+
+    Im p(x + ih, y, z)/h and so on: the imaginary part carries the product
+    rule with no subtraction, and a constant outcome gives an exact 0.
+    """
+    step = 1j * _STEP
+    return ([t.imag / _STEP for t in formula(x + step, y, z)],
+            [t.imag / _STEP for t in formula(x, y + step, z)],
+            [t.imag / _STEP for t in formula(x, y, z + step)])
 
 
 def quadrinomial_model() -> ProbModel:

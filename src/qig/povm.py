@@ -336,7 +336,8 @@ def fisher_spherical_diag(n_copies: int, s: BlochSpherical) -> InfoMatrix:
 def _trace_parts(n_copies: int, r2, cos2) -> tuple:
     """((1 - x) q, trace F_N - q) at x = r^2, cos2 = (a.v)^2 / x; exact on Fractions."""
     a, b, c = _profile(n_copies, r2)
-    c_hat = c / (1 - r2 * cos2)
+    den = 1 - r2 * cos2  # 0 only at r = 1 on a, where C = 0: C^ = 0/1 is both uses' limit
+    c_hat = c / (den + (den == 0))
     return (n_copies - 1 + (1 - r2) * (a + b * r2 + c_hat * cos2),
             2 * (n_copies - 1 + a) + c_hat * (1 - cos2))
 

@@ -4,6 +4,7 @@ import io
 import math
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -201,6 +202,19 @@ class TestModifiedTraces:
     def test_only_yuen_lax_supported(self):
         with pytest.raises(ValueError):
             modified_trace_reference("helstrom", 4, 0.5)
+
+    def test_pure_state_is_n_minus_one_on_and_off_the_axis(self):
+        # theta = 0 at r = 1 is where C^ = C/(1 - x cos2) of povm._trace_parts is 0/0
+        thetas = np.array([0.0, 0.3, math.pi / 2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n in povm.SUPPORTED_MATRICES:
+                for theta in thetas:
+                    assert modified_trace_reference("yuen_lax", n, 1.0, theta=theta) == n - 1
+                got = modified_trace_reference("yuen_lax", n, np.ones(3), theta=thetas)
+                assert np.array_equal(got, np.full(3, n - 1.0))
+                near = modified_trace_reference("yuen_lax", n, 1.0 - 1e-9, theta=thetas)
+                np.testing.assert_allclose(near, n - 1.0, rtol=0.0, atol=1e-6)
 
 
 class TestLimitTrace:
@@ -467,6 +481,13 @@ class TestBoundaryRadius:
         r = dominance_boundary_radius()
         assert abs(r - 0.9923484362149676) <= 2 * np.spacing(0.9923484362149676)
         assert abs(47 * r ** 4 - 172 * r ** 2 + 123.8) <= 1e-12
+
+    def test_literals_are_the_n6_profile(self):
+        # 120 b_6 = 475 + 172 x - 47 x^2, and 123.8 = 120 * 4.99 - 475, exactly
+        coeffs, den = povm._sectors(6)[2]
+        assert [Fraction(120 * c, den) for c in coeffs] == [475, 172, -47]
+        constant = 120 * Fraction(499, 100) - 475
+        assert constant == Fraction("123.8") and float(constant) == 123.8
 
     def test_dominance_fails_just_above_root(self):
         r = dominance_boundary_radius() + 1e-3

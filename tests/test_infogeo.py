@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qig import infogeo
 from qig.analysis import dominance_check
 from qig.bloch import (
     BlochCartesian,
@@ -15,12 +16,14 @@ from qig.bloch import (
     InfoMatrix,
     PureStateError,
 )
+from qig.estimator import mle_fit
 from qig.infogeo import (
     FITTED_N4,
     FITTED_N6,
     HELSTROM,
     QUASI_BURES,
     YUEN_LAX,
+    ProbModel,
     ZeroProbabilityError,
     custom_metric,
     fisher_information,
@@ -35,6 +38,7 @@ from qig.infogeo import (
     pure_helstrom_m3,
     quadrinomial_model,
 )
+from qig.povm import vidal_model
 
 ball_points = st.tuples(
     st.floats(-0.57, 0.57), st.floats(-0.57, 0.57), st.floats(-0.57, 0.57))
@@ -146,6 +150,48 @@ class TestFisherEngine:
         quad = quadrinomial_model()
         f = fisher_information(quad, BlochCartesian(0.2, 0.3, -0.4))
         assert np.linalg.eigvalsh(f.entries)[0] > 0
+
+
+class TestComplexStepGradients:
+    def test_lane_arrays_give_the_pointwise_rows(self):
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(-0.5, 0.5, (20, 3))
+        for model in (quadrinomial_model(), vidal_model(2), vidal_model(3),
+                      product_model(vidal_model(2), 2)):
+            lanes = np.array(infogeo._partials(model.formula, *pts.T))  # (3, n, lanes)
+            rows = np.array([model.grad(BlochCartesian(*v)) for v in pts])
+            # numpy's complex powers may round differently from Python's: 1 ulp of the row
+            scale = np.max(np.abs(rows), axis=2, keepdims=True)
+            assert np.all(np.abs(lanes.transpose(2, 1, 0) - rows) <= 1e-15 * scale)
+
+
+def half_quadrinomial():
+    """Half the quadrinomial's outcomes plus one state-independent outcome 1/2."""
+    quad = quadrinomial_model()
+    return ProbModel("half-quadrinomial", 5,
+                     lambda x, y, z: [0.5 * p for p in quad.formula(x, y, z)] + [0.5])
+
+
+class TestStateIndependentOutcome:
+    def test_constant_outcome_has_an_exact_zero_gradient(self):
+        g = half_quadrinomial().grad(BlochCartesian(0.3, 0.2, 0.1))
+        assert g.shape == (5, 3)
+        assert np.array_equal(g[4], np.zeros(3))
+
+    def test_fisher_is_twice_helstrom(self):
+        for v in [(0.3, 0.2, 0.1), (-0.4, 0.5, 0.2), (0.1, -0.2, -0.6)]:
+            c = BlochCartesian(*v)
+            f = fisher_information(half_quadrinomial(), c).entries
+            h = helstrom_cartesian(c).entries
+            assert np.max(np.abs(f - 2.0 * h)) <= 1e-12 * np.max(np.abs(h))
+
+    def test_mle_fit_converges(self):
+        model = half_quadrinomial()
+        truth = BlochCartesian(0.3, 0.2, 0.1)
+        counts = model.eval(truth) * 1000.0
+        fit = mle_fit(model, counts, BlochCartesian(0.25, 0.25, 0.15))
+        assert fit.converged
+        assert np.allclose(fit.point.as_array(), truth.as_array(), atol=1e-6)
 
 
 class TestMonotoneMetrics:

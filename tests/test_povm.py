@@ -592,6 +592,14 @@ class TestFullyMixedEntry:
 
 
 class TestPureLimits:
+    def test_trace_parts_on_the_pure_axis_are_exact(self):
+        # 1 - x cos2 = 0 at r = 1 on the axis, where C = 0 and both parts stay finite
+        for n in povm.SUPPORTED_MATRICES:
+            a = povm._profile(n, Fraction(1))[0]
+            first, second = povm._trace_parts(n, Fraction(1), Fraction(1))
+            assert type(first) is Fraction and type(second) is Fraction
+            assert (first, second) == (n - 1, 2 * (n - 1 + a))
+
     def test_angular_entry_over_r2_tends_to_half_n(self):
         for n in (2, 3, 4, 5, 6):
             for h in (1e-2, 1e-3, 1e-4, 1e-5):
