@@ -23,6 +23,9 @@ The scan takes the eigenvalues of c*H_q - F_N in closed form from ``povm``
 and lists violations by their scaled minimum rounded to 9 decimals, then
 by grid index.
 
+The odd-N volume integrates over r and mu = a.v/r, evenly in mu, so its symmetric mu
+rule is folded onto mu >= 0, and det(H_q^{-1} F_N) comes from povm's plane invariants.
+
 Read-only, N-independent geometry is cached on first use, never at import:
 a scan table per grid (points, r^2, (a.v)^2) and a node table per quadrature
 order and parity of N.  No volume, scalar, spectrum, profile or report is cached.
@@ -46,7 +49,7 @@ from .bloch import (
     PureStateError,
     to_cartesian,
 )
-from .coding import _gl_nodes
+from .coding import _gl_nodes, _legendre
 from .infogeo import HELSTROM, QUASI_BURES, YUEN_LAX, as_metric_kind
 
 __all__ = [
@@ -393,8 +396,13 @@ def min_dominating_scalar(n_copies: int,
         raise povm.UnsupportedNError(
             f"dominating-scalar search needs a closed-form matrix, N in "
             f"3..{povm.SUPPORTED_MATRICES[-1]}, got {n_copies}")
-    lam = povm._ratio_spectrum(n_copies, *_grid_table(region)[1:])
-    c = float(np.maximum(lam[0].max(), lam[2].max()))  # lam[1] <= lam[2] (povm docstring)
+    r2, t2 = _grid_table(region)[1:]
+    if n_copies % 2 == 0:
+        b, a = povm._even_profile(n_copies, r2)
+        c = float(np.maximum(a.max(), b.max()))
+    else:
+        l0, m, d = povm._odd_ratio_parts(n_copies, *povm._profile(n_copies, r2), r2, t2)
+        c = float(np.maximum(l0.max(), (l0 + m + np.sqrt(np.maximum(d, 0.0))).max()))
     if c > n_copies:
         raise RuntimeError(f"{n_copies}*H_q fails to dominate F_{n_copies} (c = {c!r}); "
                            "the Cramer-Rao cap must hold, so the grid or matrices are wrong")
@@ -430,9 +438,9 @@ class QuadratureSpec:
     ``order`` is the node count per axis, from MIN_ORDER to MAX_ORDER;
     convergence is declared when the result at order and at
     ceil(1.5 * order) agree to ``rtol`` relative.  The odd-N grid is 2-D in
-    (r, cos gamma), so the fine grid has ceil(1.5 * order)^2 nodes: 20,736 at
-    order 96, where ``qig volume --n 3`` peaks at 38 MB of RSS.  The cap bounds
-    that work; order 48 already converges every tabulated volume.
+    (r, cos gamma >= 0), so the fine grid of k = ceil(1.5 * order) has k * ceil(k/2)
+    nodes: 10,368 at order 96, where ``qig volume --n 3`` peaks at 32 MB of RSS.
+    The cap bounds that work; order 48 already converges every tabulated volume.
     """
 
     MIN_ORDER: ClassVar[int] = 48
@@ -449,7 +457,7 @@ class QuadratureSpec:
                              f"order 48 already converges every tabulated volume")
 
 
-#: det(H_q^{-1} F_N) at or above -_DET_ROUNDOFF * (largest eigenvalue)^3 counts as zero
+#: det(H_q^{-1} F_N) at or above -_DET_ROUNDOFF * (largest |eigenvalue|)^3 counts as zero
 _DET_ROUNDOFF = 1e-12
 
 
@@ -457,12 +465,17 @@ _DET_ROUNDOFF = 1e-12
 def _node_table(order: int, odd: bool) -> tuple:
     """Read-only, N-independent nodes of _volume_at_order, r = sin(u) for u in [0, pi/2].
 
-    Even N: (r^2, w_u r^2, angular integral); odd N: (r^2 column, r^2 mu^2, w_u r r, w_mu).
+    Even N: (r^2, w_u r^2, angular integral); odd N: (r^2 column, r^2 mu^2, w_u r r, w_mu)
+    on mu >= 0.
     """
     u, wu = _gl_nodes(order, 0.0, 0.5 * math.pi)
     r = np.sin(u)
     if odd:
-        mu, wm = _gl_nodes(order, -1.0, 1.0)
+        # the symmetric rule folded onto mu >= 0; an odd order's mu = 0 is not doubled
+        x, w = _legendre(order)
+        mu, wm = x[order // 2:], 2.0 * w[order // 2:]
+        if order % 2:
+            wm[0] = w[order // 2]
         r2 = (r * r)[:, None]
         return _read_only(r2, r2 * mu * mu, wu * r * r, wm)
     t, wt = _gl_nodes(order, 0.0, math.pi)
@@ -474,7 +487,7 @@ def _volume_at_order(n_copies: int, order: int) -> float:
     """Integral of sqrt(det F_N) over the ball at one order, on the cached _node_table.
 
     r = sin(u), dr = cos(u) du soaks up the (1-r^2)^(-1/2) singularity of
-    sqrt(det F).  The profiles and spectra of F_N are evaluated on every call.
+    sqrt(det F).  The profiles of F_N are evaluated on every call.
     """
     if n_copies % 2 == 0:
         # diagonal spherical form: sqrt(det) = sin(theta) r^2 a sqrt(b) / cos(u);
@@ -486,15 +499,17 @@ def _volume_at_order(n_copies: int, order: int) -> float:
     # det F_N depends on r and mu = a.v/r only; the azimuth about a gives 2 pi.
     # det F_N = det(H_q^{-1} F_N) / cos(u)^2, so the cos(u) of dr cancels
     r2, t2, wu_r2, wm = _node_table(order, True)
-    l0, l1, l2 = povm._ratio_spectrum(n_copies, r2, t2)
-    det = l0 * l1 * l2
-    # F_N is PSD, so a negative determinant may only be roundoff
-    floor = -_DET_ROUNDOFF * np.maximum(np.maximum(np.abs(l0), np.abs(l1)), np.abs(l2)) ** 3
-    if np.any(det < floor):
-        worst = np.unravel_index(np.argmin(det - floor), det.shape)
-        raise RuntimeError(
-            f"det(H_q^-1 F_{n_copies}) = {det[worst]:.3e} at a quadrature node (order {order}) "
-            f"is below the roundoff floor {floor[worst]:.3e}; F_{n_copies} is not PSD there")
+    l0, m, d = povm._odd_ratio_parts(n_copies, *povm._profile(n_copies, r2), r2, t2)
+    det = l0 * ((l0 + m) ** 2 - d)  # of the eigenvalues l0 and l0 + m -+ sqrt(d)
+    if np.any(det < 0.0):  # F_N is PSD, so a negative determinant may only be roundoff
+        top = np.maximum(np.abs(l0), np.abs(l0 + m) + np.sqrt(np.maximum(d, 0.0)))
+        floor = -_DET_ROUNDOFF * top ** 3  # top is the largest |eigenvalue|
+        if np.any(det < floor):
+            worst = np.unravel_index(np.argmin(det - floor), det.shape)
+            raise RuntimeError(
+                f"det(H_q^-1 F_{n_copies}) = {det[worst]:.3e} at a quadrature node "
+                f"(order {order}) is below the roundoff floor {floor[worst]:.3e}; "
+                f"F_{n_copies} is not PSD there")
     return 2.0 * math.pi * float(wu_r2 @ np.sqrt(np.maximum(det, 0.0)) @ wm)
 
 

@@ -46,6 +46,8 @@ a = N - 1 + A and b = N - 1 + (1 - r^2)(A + B r^2).
 Odd N: with S = H_q^{-1/2} and t = a.v, S F_N S = lam0 I + beta v v^T + C (S a)(S a)^T
 / (1 - t^2), lam0 = N - 1 + A, beta = B (1 - r^2) - A, so they are lam0 and lam0 + m
 -+ sqrt(d), m = (beta r^2 + C)/2, d = ((beta r^2 - C)/2)^2 + beta C (1 - r^2) t^2/(1 - t^2).
+Callers use these plane invariants (_odd_ratio_parts), not the eigenvalues: the product is
+lam0 ((lam0 + m)^2 - d) and the largest is max(lam0, lam0 + m + sqrt(d)).
 
 So are the eigenvalues of D = c H_q - F_N, which the dominance scan judges.  Even N:
 (c - b)/(1 - r^2) along v and c - a twice.  Odd N: D = kappa I + p v v^T + q a a^T with
@@ -271,14 +273,6 @@ def _even_profile(n_copies: int, r2):
         raise UnsupportedNError(f"diagonal spherical forms exist for even N only, got {n_copies}")
     _, _, b, a = _sectors(n_copies)
     return _poly(b, r2), _poly(a, r2)
-
-
-def _ratio_spectrum(n_copies: int, r2, t2) -> tuple:
-    """The three eigenvalues of H_q^{-1} F_N at r^2 = v.v, t^2 = (a.v)^2, as arrays."""
-    if n_copies % 2 == 0:
-        b, a = _even_profile(n_copies, r2)
-        return np.broadcast_arrays(a, a, b)
-    return _odd_spectrum(*_odd_ratio_parts(n_copies, *_profile(n_copies, r2), r2, t2))
 
 
 def _difference_spectrum(n_copies: int, scalar, r2, t2) -> tuple:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qig import acceptance, analysis, bloch, infogeo, povm
+from qig import acceptance, analysis, bloch, coding, infogeo, povm
 from qig.analysis import (
     CurveTable,
     NonConvergenceError,
@@ -32,6 +32,7 @@ from qig.analysis import (
     write_curves_csv,
 )
 from qig.bloch import BlochCartesian, BlochSpherical, PureStateError
+from test_povm import _ratio_eigenvalues
 
 
 KINDS = ("helstrom", "yuen_lax", "quasi_bures", "fitted_n4", "fitted_n6")
@@ -330,11 +331,20 @@ class TestDominance:
         assert scan_dominance(n, c - 1e-6, (0.0, 0.999)).n_violations > 0
 
     def test_cramer_rao_guard(self, monkeypatch):
-        # H_q^{-1} F_N = 7 I: the scalar exceeds N = 6
-        monkeypatch.setattr(povm, "_ratio_spectrum",
-                            lambda n, r2, t2: np.broadcast_arrays(7.0, 7.0, 7.0 + 0 * r2))
+        # H_q^{-1} F_N = 7 I: the scalar exceeds N = 6, and N = 5 on the odd-N parts
+        monkeypatch.setattr(povm, "_even_profile", lambda n, r2: (7.0 + 0 * r2, 7.0 + 0 * r2))
         with pytest.raises(RuntimeError, match="Cramer-Rao"):
             min_dominating_scalar(6, (0.0, 0.999))
+        monkeypatch.setattr(povm, "_odd_ratio_parts",
+                            lambda n, a, b, c, r2, t2: (7.0 + 0 * r2, 0.0, 0.0 * t2))
+        with pytest.raises(RuntimeError, match="Cramer-Rao"):
+            min_dominating_scalar(5, (0.0, 0.999))
+
+    @pytest.mark.parametrize("region", [(0.0, 0.999), (0.2, 0.9)])
+    def test_scalar_is_the_largest_eigenvalue_on_the_grid(self, region):
+        for n in povm.SUPPORTED_MATRICES[1:]:
+            lam = _ratio_eigenvalues(n, *analysis._grid_table(region)[1:])
+            assert min_dominating_scalar(n, region) == max(x.max() for x in lam)
 
     def test_halton_grid_matches_scipy(self):
         qmc = pytest.importorskip("scipy.stats.qmc")
@@ -503,6 +513,17 @@ def rotation(axis, angle):
     return np.eye(3) + math.sin(angle) * cross + (1.0 - math.cos(angle)) * cross @ cross
 
 
+def _full_rule_volume(n, order):
+    """Odd-N _volume_at_order before the fold: the full mu rule on [-1, 1], and det as
+    the product of the three eigenvalues."""
+    u, wu = coding._gl_nodes(order, 0.0, 0.5 * math.pi)
+    mu, wm = coding._gl_nodes(order, -1.0, 1.0)
+    r = np.sin(u)
+    r2 = (r * r)[:, None]
+    det = math.prod(_ratio_eigenvalues(n, r2, r2 * mu * mu))
+    return 2.0 * math.pi * float(wu * r * r @ np.sqrt(np.maximum(det, 0.0)) @ wm)
+
+
 class TestVolumeIntegrals:
     def test_two_copies_give_pi_squared(self):
         assert volume_integral(2) == pytest.approx(math.pi ** 2, rel=1e-6)
@@ -530,16 +551,36 @@ class TestVolumeIntegrals:
         assert volume_integral(n) == pytest.approx(value, rel=1e-9)
 
     def test_odd_volume_grid_is_two_dimensional(self, monkeypatch):
+        # (r, mu) nodes with the symmetric mu rule folded onto mu >= 0
         points = []
-        kernel = povm._ratio_spectrum
+        kernel = povm._odd_ratio_parts
 
-        def counting(n, r2, t2):
+        def counting(n, a, b, c, r2, t2):
             points.append(np.broadcast(r2, t2).size)
-            return kernel(n, r2, t2)
+            return kernel(n, a, b, c, r2, t2)
 
-        monkeypatch.setattr(povm, "_ratio_spectrum", counting)
+        monkeypatch.setattr(povm, "_odd_ratio_parts", counting)
         volume_integral(5)
-        assert sum(points) == 48 ** 2 + 72 ** 2
+        assert sum(points) == 48 * 24 + 72 * 36
+
+    @pytest.mark.parametrize("order", [48, 49, 72, 73, 74, 75, 96, 144])
+    def test_folded_mu_rule_matches_the_full_rule(self, order):
+        # odd orders have a mu = 0 node; QuadratureSpec(order=49) and (order=50) reach 74, 75
+        for n in range(3, 20, 2):
+            got, want = analysis._volume_at_order(n, order), _full_rule_volume(n, order)
+            assert abs(got - want) <= 1e-14 * want, (n, (got - want) / want)
+
+    def test_folded_mu_rule_is_the_nonnegative_half_of_gauss_legendre(self):
+        for order in range(48, 145):
+            x, w = coding._legendre(order)
+            r2, t2, _, wm = analysis._node_table(order, True)
+            mu = x[order // 2:]
+            assert np.all(mu >= 0.0) and mu.size == wm.size == (order + 1) // 2
+            assert _bit_equal(t2, r2 * mu * mu)
+            assert abs(wm.sum() - 2.0) <= 1e-14 * 2.0, order
+            # exact for every even power the full rule integrates exactly
+            for k in (1, order // 2, order - 1):
+                assert wm @ mu ** (2 * k) == pytest.approx(2.0 / (2 * k + 1), rel=1e-13)
 
     @pytest.mark.parametrize("n,target", [(3, 21.0235), (4, 35.0281),
                                           (5, 51.0763), (6, 69.1253), (7, 88.8621)])
@@ -567,18 +608,18 @@ class TestVolumeIntegrals:
             volume_integral(21)
 
     def test_negative_determinant_beyond_roundoff_raises(self, monkeypatch):
-        def not_psd(n, r2, t2):
-            return np.broadcast_arrays(1.0, 1.0, -1e-6 + 0 * t2)
+        def not_psd(n, a, b, c, r2, t2):
+            return 1.0, 0.0, 1.0 + 1e-6 + 0 * t2  # det = 1 - (1 + 1e-6) = -1e-6
 
-        monkeypatch.setattr(povm, "_ratio_spectrum", not_psd)
+        monkeypatch.setattr(povm, "_odd_ratio_parts", not_psd)
         with pytest.raises(RuntimeError, match="not PSD"):
             volume_integral(3)
 
     def test_roundoff_negative_determinant_counts_as_zero(self, monkeypatch):
-        def roundoff(n, r2, t2):
-            return np.broadcast_arrays(1.0, 1.0, -1e-14 + 0 * t2)
+        def roundoff(n, a, b, c, r2, t2):
+            return 1.0, -1.0, 1e-14 + 0 * t2  # det = 1 (0 - 1e-14) = -1e-14
 
-        monkeypatch.setattr(povm, "_ratio_spectrum", roundoff)
+        monkeypatch.setattr(povm, "_odd_ratio_parts", roundoff)
         assert volume_integral(3) == 0.0
 
 
@@ -769,7 +810,7 @@ class TestBallGrid:
 
 def _old_scalar(n, region=(0.0, 0.999)):
     """min_dominating_scalar before the scan table: every spectrum on a fresh grid."""
-    lam = povm._ratio_spectrum(n, *analysis._invariants(analysis.ball_grid(region)))
+    lam = _ratio_eigenvalues(n, *analysis._invariants(analysis.ball_grid(region)))
     return float(np.max([l.max() for l in lam]))
 
 

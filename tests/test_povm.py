@@ -316,11 +316,22 @@ def _det3(m):
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
+def _ratio_eigenvalues(n, r2, t2):
+    """The three eigenvalues of H_q^{-1} F_N as arrays, assembled from povm's profile parts:
+    (a, a, b) of _even_profile for even N, lam0 and lam0 + m -+ sqrt(d) for odd N."""
+    if n % 2 == 0:
+        b, a = povm._even_profile(n, r2)
+        return np.broadcast_arrays(a, a, b)
+    lam0, m, d = povm._odd_ratio_parts(n, *povm._profile(n, r2), r2, t2)
+    root = np.sqrt(np.maximum(d, 0.0))
+    return np.broadcast_arrays(lam0, lam0 + m - root, lam0 + m + root)
+
+
 def _spectrum_sum_product(n, r2, t2):
     """Sum and product of povm's eigenvalues of H_q^{-1} F_N, exact on Fractions."""
     if n % 2 == 0:
-        lam = [x.item() for x in povm._ratio_spectrum(n, r2, t2)]
-        return sum(lam), lam[0] * lam[1] * lam[2]
+        b, a = povm._even_profile(n, r2)
+        return 2 * a + b, a * a * b
     lam0, m, d = povm._odd_ratio_parts(n, *povm._profile(n, r2), r2, t2)
     return 3 * lam0 + 2 * m, lam0 * ((lam0 + m) ** 2 - d)
 
@@ -353,21 +364,23 @@ class TestRatioSpectrum:
         v = bloch.to_cartesian(BlochSpherical(r, theta, phi)).as_array()
         ratio = np.linalg.solve(infogeo.helstrom_batch(v), povm.closed_form_batch(n, v))
         want = np.sort(np.linalg.eigvals(ratio).real)
-        got = np.sort(povm._ratio_spectrum(n, v @ v, np.sum(v) ** 2 / 3))
+        got = np.sort(_ratio_eigenvalues(n, v @ v, np.sum(v) ** 2 / 3))
         assert np.all(np.abs(got - want) <= 1e-12 * want)
 
-    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("n", range(3, 20, 2))
     def test_determinant_is_accurate_at_the_outermost_volume_node(self, n):
-        # the odd-N volume integrates sqrt(det(H_q^{-1} F_N)) up to these nodes, on
-        # the axis (t = r), next to it and across it; a 3x3 LU of F_N, whose entries
-        # grow like 1/(1 - r^2), keeps only about 1e-10 relative accuracy there
-        u, _ = coding._gl_nodes(72, 0.0, 0.5 * math.pi)
-        mu, _ = coding._gl_nodes(72, -1.0, 1.0)
-        r2 = math.sin(u[-1]) ** 2
-        for t2 in (r2, r2 * mu[-1] ** 2, r2 * mu[36] ** 2):
-            got = math.prod(povm._ratio_spectrum(n, r2, t2))
-            _, want = _spectrum_sum_product(n, Fraction(r2), Fraction(t2))
-            assert abs(got - want) <= 1e-14 * want, (t2, float((got - want) / want))
+        # the odd-N volume integrates sqrt(lam0 ((lam0 + m)^2 - d)) up to these nodes:
+        # across the axis, at the extreme folded mu nodes and on the axis (t = r); a 3x3
+        # LU of F_N, whose entries grow like 1/(1 - r^2), keeps only about 1e-10
+        # relative accuracy there
+        for order in (48, 72, 144):
+            u, _ = coding._gl_nodes(order, 0.0, 0.5 * math.pi)
+            mu = coding._legendre(order)[0][order // 2:]  # the folded mu nodes, mu >= 0
+            r2 = math.sin(u[-1]) ** 2
+            for t2 in (0.0, r2 * mu[0] ** 2, r2 * mu[-1] ** 2, r2):
+                _, got = _spectrum_sum_product(n, r2, t2)  # in floats, as the volume
+                _, want = _spectrum_sum_product(n, Fraction(r2), Fraction(t2))
+                assert abs(got - want) <= 1e-14 * want, (order, t2, float((got - want) / want))
 
 
 def _difference_sum_product(n, scalar, r2, t2):
