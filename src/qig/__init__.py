@@ -3,7 +3,7 @@
 A numpy library (plus a ``qig`` command-line tool) for the
 quantum-information geometry of two-level systems: Helstrom and monotone
 metric tensors over the Bloch ball, Fisher information of the optimal
-non-separable measurements on N = 2..7 copies, Gill-Massar trace bounds,
+non-separable measurements on N = 2..20 copies, Gill-Massar trace bounds,
 volume integrals, Clarke-Barron universal-coding redundancies, and Monte
 Carlo validation of the Cramer-Rao machinery.
 

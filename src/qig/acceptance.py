@@ -52,37 +52,30 @@ def _interior_points(n, rmin=0.05, rmax=0.95, coord_min=0.02, seed=_POINT_SEED):
     return np.asarray(pts)
 
 
-def _rel(a, b):
-    return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+def _rel(a, b):  # the worst lane's relative error, over matrices on the last two axes
+    num = np.max(np.abs(a - b), axis=(-2, -1))
+    return float(np.max(num / np.maximum(np.max(np.abs(b), axis=(-2, -1)), 1e-300)))
 
 
-def _fd_fisher(model, c, h=1e-5):
-    """Finite-difference Fisher oracle, independent of the complex-step path."""
-    v = c.as_array()
-    p = model.eval(c)
-    grad = np.empty((model.n_outcomes, 3))
-    for k in range(3):
-        dv = np.zeros(3)
-        dv[k] = h
-        hi = model.eval(bloch.BlochCartesian(*(v + dv)))
-        lo = model.eval(bloch.BlochCartesian(*(v - dv)))
-        grad[:, k] = (hi - lo) / (2.0 * h)
-    return (grad / p[:, None]).T @ grad
+def _lane_fisher(model, pts):  # the engine's Fisher matrices at the rows of pts, on lanes
+    x, y, z = pts.T
+    return infogeo._fisher_sum(model.eval_xyz(x, y, z), infogeo._partials(model.formula, x, y, z))
+
+
+def _fd_fisher(model, pts, h=1e-5):
+    """Finite-difference Fisher oracle on lanes, independent of the complex-step path."""
+    grad = np.stack([model.eval_xyz(*(pts + dv).T) - model.eval_xyz(*(pts - dv).T)
+                     for dv in h * np.eye(3)]) / (2.0 * h)
+    return np.einsum("inl,jnl->lij", grad / model.eval_xyz(*pts.T), grad)
 
 
 def check_fisher_engine(n_points=200):
     pts = _interior_points(n_points)
     m2, m3 = povm.vidal_model(2), povm.vidal_model(3)
-    worst2 = worst3 = worst_fd = 0.0
-    for v in pts:
-        c = bloch.BlochCartesian(*v)
-        f2 = infogeo.fisher_information(m2, c).entries
-        h = infogeo.helstrom_cartesian(c).entries
-        worst2 = max(worst2, _rel(f2, h))
-        f3 = infogeo.fisher_information(m3, c).entries
-        closed = povm.fisher_closed_form(3, c).entries
-        worst3 = max(worst3, _rel(f3, closed))
-        worst_fd = max(worst_fd, _rel(_fd_fisher(m2, c), f2), _rel(_fd_fisher(m3, c), f3))
+    f2, f3 = _lane_fisher(m2, pts), _lane_fisher(m3, pts)
+    worst2 = _rel(f2, infogeo.helstrom_batch(pts))
+    worst3 = _rel(f3, povm.closed_form_batch(3, pts))
+    worst_fd = max(_rel(_fd_fisher(m2, pts), f2), _rel(_fd_fisher(m3, pts), f3))
     ok = worst2 <= 1e-9 and worst3 <= 1e-9 and worst_fd <= 1e-5
     return ok, (f"N=2 vs H_q rel {worst2:.2e} (<=1e-9), N=3 vs closed form rel "
                 f"{worst3:.2e} (<=1e-9), finite-difference oracle rel {worst_fd:.2e} (<=1e-5)")
@@ -90,18 +83,12 @@ def check_fisher_engine(n_points=200):
 
 def check_quadrinomial(n_points=200):
     quad = infogeo.quadrinomial_model()
-    worst = 0.0
-    for v in _interior_points(n_points):
-        c = bloch.BlochCartesian(*v)
-        f = infogeo.fisher_information(quad, c).entries
-        worst = max(worst, _rel(f, 4.0 * infogeo.helstrom_cartesian(c).entries))
-    worst_add = 0.0
-    for v in _interior_points(5, seed=_POINT_SEED + 1):
-        c = bloch.BlochCartesian(*v)
-        f1 = infogeo.fisher_information(quad, c).entries
-        for k in (2, 3):
-            fk = infogeo.fisher_information(infogeo.product_model(quad, k), c).entries
-            worst_add = max(worst_add, _rel(fk, k * f1))
+    pts = _interior_points(n_points)
+    worst = _rel(_lane_fisher(quad, pts), 4.0 * infogeo.helstrom_batch(pts))
+    few = _interior_points(5, seed=_POINT_SEED + 1)
+    f1 = _lane_fisher(quad, few)
+    worst_add = max(_rel(_lane_fisher(infogeo.product_model(quad, k), few), k * f1)
+                    for k in (2, 3))
     ok = worst <= 1e-9 and worst_add <= 1e-9
     return ok, (f"Fisher vs 4*H_q rel {worst:.2e} (<=1e-9), "
                 f"additivity k=2,3 rel {worst_add:.2e} (<=1e-9)")
@@ -362,11 +349,9 @@ def check_simplex_extra():
         p = m.eval_xyz(pts[:, 0], pts[:, 1], pts[:, 2])
         worst_sum = max(worst_sum, float(np.max(np.abs(p.sum(axis=0) - 1.0))))
         worst_neg = max(worst_neg, float(np.max(-p)))
-    worst_rows = 0.0
-    for m in models:
-        for v in pts[:100]:
-            g = m.grad(bloch.BlochCartesian(*v))
-            worst_rows = max(worst_rows, float(np.max(np.abs(g.sum(axis=0)))))
+    x, y, z = pts[:100].T
+    worst_rows = max(float(np.max(np.abs(sum(row)))) for m in models
+                     for row in infogeo._partials(m.formula, x, y, z))
     ok = worst_sum <= 1e-12 and worst_neg <= 1e-12 and worst_rows <= 1e-10
     return ok, (f"sum-to-one abs {worst_sum:.1e} (<=1e-12); negativity {worst_neg:.1e} "
                 f"(<=1e-12); gradient column sums {worst_rows:.1e} (<=1e-10) "

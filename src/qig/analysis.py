@@ -437,7 +437,7 @@ class QuadratureSpec:
 
     ``order`` is the node count per axis, from MIN_ORDER to MAX_ORDER;
     convergence is declared when the result at order and at
-    ceil(1.5 * order) agree to ``rtol`` relative.  The odd-N grid is 2-D in
+    ceil(1.5 * order) agree to ``rtol`` relative, 0 < rtol < 1.  The odd-N grid is 2-D in
     (r, cos gamma >= 0), so the fine grid of k = ceil(1.5 * order) has k * ceil(k/2)
     nodes: 10,368 at order 96, where ``qig volume --n 3`` peaks at 32 MB of RSS.
     The cap bounds that work; order 48 already converges every tabulated volume.
@@ -455,6 +455,8 @@ class QuadratureSpec:
         if self.order > self.MAX_ORDER:
             raise ValueError(f"quadrature order above {self.MAX_ORDER} is not allowed: "
                              f"order 48 already converges every tabulated volume")
+        if not 0.0 < self.rtol < 1.0:  # also refuses nan, which passes every coarse/fine test
+            raise ValueError(f"rtol must satisfy 0 < rtol < 1, got {self.rtol}")
 
 
 #: det(H_q^{-1} F_N) at or above -_DET_ROUNDOFF * (largest |eigenvalue|)^3 counts as zero

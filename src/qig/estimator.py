@@ -10,8 +10,9 @@ Reproducibility: the bit generator is Philox, a counter-based 64-bit
 generator; repetition k draws from ``Philox(key=seed).jumped(k)``, i.e.
 streams are split by jumping rather than by reseeding, so the same
 (seed, M, R) reproduces every count vector bit-for-bit and repetitions
-stay independent.  Repetitions are fitted together as array lanes, and
-reports are deterministic per (seed, M, R).
+stay independent.  Repetitions are fitted together as array lanes, the
+per-observation information F_hat is summed over those lanes in one call of
+the engine's Fisher sum, and reports are deterministic per (seed, M, R).
 
 The likelihood is maximized over the Cartesian ball (radius capped at
 1 - 1e-9) by projected gradient ascent from the caller's initial point,
@@ -28,13 +29,14 @@ optimizer.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import infogeo
 from .bloch import BlochCartesian
-from .infogeo import ProbModel, ZeroProbabilityError
+from .infogeo import ProbModel
 
 __all__ = [
     "EstimationRun",
@@ -60,8 +62,14 @@ class EstimationRun:
     seed: int
 
     def __post_init__(self):
+        for name, value in (("trials", self.trials), ("repetitions", self.repetitions)):
+            if not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
+        if self.trials > np.iinfo(np.int64).max:
+            raise ValueError(f"trials must be at most {np.iinfo(np.int64).max}, "
+                             "the largest count numpy's multinomial sampler takes")
         if self.repetitions < 1:
             raise ValueError("repetitions must be positive")
 
@@ -77,9 +85,7 @@ def sample_counts(run: EstimationRun, repetition: int = 0) -> np.ndarray:
     any outcome probability vanishes at the truth.
     """
     p = run.model.eval(run.truth)
-    bad = np.flatnonzero(p <= infogeo.MIN_PROBABILITY)
-    if bad.size:
-        raise ZeroProbabilityError(bad, p)
+    infogeo._refuse_vanishing(p)
     return _stream(run.seed, repetition).multinomial(run.trials, p / p.sum())
 
 
@@ -199,6 +205,8 @@ def mle_fit(model: ProbModel, counts, init: BlochCartesian,
     counts = np.asarray(counts)
     if counts.shape != (model.n_outcomes,):
         raise ValueError(f"counts must have shape ({model.n_outcomes},), got {counts.shape}")
+    if not np.all(np.isfinite(counts) & (counts >= 0)):
+        raise ValueError(f"counts must be finite and nonnegative, got {counts.tolist()}")
     if counts.sum() <= 0:
         raise ValueError("counts must total at least one observation")
     v, ok, iters, loglik = _fit_lanes(model, counts[None], init.as_array()[None],
@@ -238,14 +246,6 @@ class EfficiencyReport:
         }
 
 
-def _empirical_info(model: ProbModel, counts: np.ndarray, at: BlochCartesian) -> np.ndarray:
-    """Per-observation outer-product information sum_i (n_i/M) grad(p_i) grad(p_i)^T / p_i^2."""
-    p = np.maximum(model.eval(at), 1e-300)
-    g = model.grad(at)
-    w = counts / counts.sum() / p ** 2
-    return (g * w[:, None]).T @ g
-
-
 def efficiency_report(run: EstimationRun) -> EfficiencyReport:
     """Run R independent repetitions of (sample, fit) and compare with the CRB.
 
@@ -255,10 +255,12 @@ def efficiency_report(run: EstimationRun) -> EfficiencyReport:
     F(truth)^{-1}/M; ratio_diag holds the three variance ratios
     (asymptotically 1 for an efficient estimator).  gm_trace is
     trace(H_q^{-1} F_hat) with F_hat the repetition-averaged per-observation
-    empirical information at the fitted states.
+    empirical information sum_i (n_i/M) grad(p_i) grad(p_i)^T / p_i^2 at the
+    fitted states.
     """
-    fisher = infogeo.fisher_information(run.model, run.truth).entries
-    expected = run.trials * run.model.eval(run.truth)
+    t, p = run.truth, run.model.eval(run.truth)
+    fisher = infogeo._fisher_sum(p, infogeo._partials(run.model.formula, t.x, t.y, t.z))
+    expected = run.trials * p
     if expected.min() < 10.0:
         raise ValueError(
             f"smallest expected count {expected.min():.2f} < 10; "
@@ -271,8 +273,10 @@ def efficiency_report(run: EstimationRun) -> EfficiencyReport:
     points, converged, _, _ = _fit_lanes(run.model, counts, starts)
     cov = np.cov(points, rowvar=False, ddof=1)
     crb = np.linalg.inv(fisher) / run.trials
-    f_hat = np.mean([_empirical_info(run.model, c, BlochCartesian(*v))
-                     for c, v in zip(counts, points)], axis=0)
+    p_hat = run.model.eval_xyz(*points.T)
+    w = counts.T / run.trials / np.maximum(p_hat, 1e-300) ** 2
+    grads = infogeo._partials(run.model.formula, *points.T)
+    f_hat = infogeo._fisher_sum(p_hat, grads, w).mean(axis=0)
     h_inv = infogeo.helstrom_inverse(run.truth).entries
     return EfficiencyReport(
         model=run.model.name,

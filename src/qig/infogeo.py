@@ -22,6 +22,10 @@ A :class:`ProbModel`'s gradients are a complex step through its one
 (Squire and Trapp, SIAM Rev. 40, 110, 1998) if the formula is analytic:
 +, -, *, /, integer powers, numpy ufuncs such as sqrt, exp and log.
 ``abs``, comparisons and ``np.maximum`` would silently give wrong partials.
+The sum over outcomes, sum_i w_i (grad p_i)(grad p_i)^T, is written once
+(:func:`_fisher_sum`): :func:`fisher_information` feeds it one point on
+Python floats with w = 1/p, and batch callers (the acceptance checks, the
+Monte Carlo report) feed it L points at once as array lanes.
 
 The closed forms are array kernels over points of shape (..., 3) or radii
 of any shape: :func:`helstrom_batch` and :func:`g_function` (which also
@@ -156,6 +160,30 @@ def _partials(formula, x, y, z):
             [t.imag / _STEP for t in formula(x, y, z + step)])
 
 
+def _refuse_vanishing(p, min_probability=MIN_PROBABILITY):
+    """Refuse outcomes at or below ``min_probability`` at a point (n,) or on any lane (n, L)."""
+    low = p.min(axis=1) if p.ndim > 1 else p
+    bad = np.flatnonzero(low <= min_probability)
+    if bad.size:
+        raise ZeroProbabilityError(bad, low)
+
+
+def _fisher_sum(p, grads, w=None, min_probability=MIN_PROBABILITY):
+    """sum_i w_i (grad p_i)(grad p_i)^T: p, w (n,) -> (3, 3) or (n, L) -> (L, 3, 3).
+
+    ``grads`` are :func:`_partials`' rows, floats at a point, (L,) arrays on
+    lanes.  The default w = 1/p refuses vanishing outcomes; a caller's w does not.
+    """
+    if p.ndim > 1:  # lanes first; a constant outcome's bare 0.0 is broadcast over them
+        zero = np.zeros(p.shape[1:])
+        grads = np.moveaxis([[t + zero for t in row] for row in grads], -1, 0)
+    g = np.asarray(grads)
+    if w is None:
+        _refuse_vanishing(p, min_probability)
+    gw = g / p.T[..., None, :] if w is None else g * w.T[..., None, :]
+    return gw @ np.swapaxes(g, -1, -2)
+
+
 def quadrinomial_model() -> ProbModel:
     """The four-outcome distribution (x^2, y^2, z^2, 1 - x^2 - y^2 - z^2).
 
@@ -199,12 +227,8 @@ def product_model(model: ProbModel, copies: int) -> ProbModel:
 def fisher_information(model: ProbModel, c: BlochCartesian,
                        min_probability: float = MIN_PROBABILITY) -> InfoMatrix:
     """Fisher information matrix sum_i (grad p_i)(grad p_i)^T / p_i at ``c``."""
-    p = model.eval(c)
-    bad = np.flatnonzero(p <= min_probability)
-    if bad.size:
-        raise ZeroProbabilityError(bad, p)
-    g = model.grad(c)
-    return InfoMatrix((g / p[:, None]).T @ g, "cartesian")
+    p, grads = model.eval(c), _partials(model.formula, c.x, c.y, c.z)
+    return InfoMatrix(_fisher_sum(p, grads, min_probability=min_probability), "cartesian")
 
 
 # ---------------------------------------------------------------------------

@@ -603,6 +603,12 @@ class TestVolumeIntegrals:
         with pytest.raises(NonConvergenceError):
             volume_integral(3, QuadratureSpec(order=48, rtol=1e-16))
 
+    @pytest.mark.parametrize("rtol", [math.nan, math.inf, -math.inf, 0.0, -1e-6, 1.5])
+    def test_rtol_outside_the_open_unit_interval_rejected(self, rtol):
+        # nan compares false, so it would pass every coarse/fine comparison
+        with pytest.raises(ValueError, match="rtol"):
+            QuadratureSpec(rtol=rtol)
+
     def test_copy_counts_beyond_the_cap_unavailable(self):
         with pytest.raises(povm.UnsupportedNError):
             volume_integral(21)

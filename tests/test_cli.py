@@ -244,6 +244,14 @@ class TestMonteCarloCommand:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
+    def test_trials_beyond_the_sampler_are_one_error_line(self, capsys):
+        code = main(["mc", "--n", "2", "--truth", "0.3,0.2,0.1",
+                     "--M", str(10 ** 21), "--R", "2", "--seed", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     def test_negative_seed_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["mc", "--n", "2", "--truth", "0.3,0.2,0.1",

@@ -39,6 +39,23 @@ class TestSampling:
             sample_counts(run)
 
 
+class TestRunValidation:
+    @pytest.mark.parametrize("trials,repetitions", [(1.5, 3), (10.0, 3), (10, 2.0)])
+    def test_non_integer_sizes_rejected(self, trials, repetitions):
+        with pytest.raises(ValueError, match="integer"):
+            EstimationRun(povm.vidal_model(2), TRUTH, trials, repetitions, seed=1)
+
+    def test_trials_beyond_int64_rejected(self):
+        top = int(np.iinfo(np.int64).max)
+        assert EstimationRun(povm.vidal_model(2), TRUTH, top, 2, seed=1).trials == top
+        with pytest.raises(ValueError, match="at most"):
+            EstimationRun(povm.vidal_model(2), TRUTH, top + 1, 2, seed=1)
+
+    def test_numpy_integers_accepted(self):
+        run = EstimationRun(povm.vidal_model(2), TRUTH, np.int64(100), np.int32(3), seed=1)
+        assert sample_counts(run).sum() == 100
+
+
 class TestMleFit:
     def test_recovers_truth_from_proportional_counts(self):
         model = povm.vidal_model(2)
@@ -81,6 +98,19 @@ class TestMleFit:
             mle_fit(model, np.zeros(5), TRUTH)
         with pytest.raises(ValueError):
             mle_fit(model, np.ones(4), TRUTH)
+
+    @pytest.mark.parametrize("bad", [-3.0, np.nan, np.inf, -np.inf])
+    def test_negative_or_non_finite_counts_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            mle_fit(infogeo.quadrinomial_model(), [bad, 5, 5, 5], TRUTH)
+
+    def test_unobserved_outcome_is_masked(self):
+        # p_0 = x^2 vanishes at the start x = 0, but n_0 = 0 so log p_0 must not count
+        fit = mle_fit(infogeo.quadrinomial_model(), np.array([0, 5, 5, 5]),
+                      BlochCartesian(0.0, 0.5, 0.5))
+        assert fit.converged
+        assert np.isfinite(fit.log_likelihood)
+        assert np.allclose(fit.point.as_array(), [0.0, 3 ** -0.5, 3 ** -0.5], atol=1e-6)
 
 
 class TestEfficiencyReport:
@@ -125,6 +155,21 @@ class TestEfficiencyReport:
         points = np.array([f.point.as_array() for f in fits])
         assert np.array_equal(np.cov(points, rowvar=False, ddof=1), report.empirical_cov)
         assert sum(not f.converged for f in fits) == report.failures
+
+    @pytest.mark.parametrize("model", [povm.vidal_model(2), povm.vidal_model(3),
+                                       infogeo.quadrinomial_model()], ids=lambda m: m.name)
+    def test_empirical_fisher_is_the_mean_of_pointwise_sums(self, model):
+        run = EstimationRun(model, TRUTH, 10 ** 4, 6, seed=8)
+        report = efficiency_report(run)
+        want = []
+        for k in range(run.repetitions):
+            counts = sample_counts(run, k)
+            at = mle_fit(model, counts, TRUTH).point
+            g = model.grad(at)
+            w = counts / run.trials / model.eval(at) ** 2
+            want.append((g * w[:, None]).T @ g)
+        want = np.mean(want, axis=0)
+        assert np.max(np.abs(report.empirical_fisher - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_small_expected_counts_rejected(self):
         run = EstimationRun(povm.vidal_model(2), TRUTH, 20, 5, seed=1)

@@ -165,6 +165,52 @@ class TestComplexStepGradients:
             assert np.all(np.abs(lanes.transpose(2, 1, 0) - rows) <= 1e-15 * scale)
 
 
+class TestFisherSum:
+    def test_cubic_rows_match_their_exact_partials(self):
+        # (1 +/- w)^3/12 has partial +/-(1 +/- w)^2/4; a step h leaves an h^2/12 error
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(-0.55, 0.55, (50, 3))
+        lanes = np.array(infogeo._partials(vidal_model(3).formula, *pts.T))
+        points = np.array([vidal_model(3).grad(BlochCartesian(*v)).T for v in pts])
+        eps = np.finfo(float).eps
+        for got in (lanes, points.transpose(1, 2, 0)):  # (3, n, lanes)
+            for k in range(3):
+                w = pts[:, k]
+                for i, want in ((2 * k, (1.0 + w) * (1.0 + w) / 4.0),
+                                (2 * k + 1, -((1.0 - w) * (1.0 - w)) / 4.0)):
+                    assert np.all(np.abs(got[k, i] - want) <= 4 * eps * np.abs(want))
+                    others = [j for j in range(3) if j != k]
+                    assert np.all(got[others, i] == 0.0)
+
+    def test_lanes_equal_the_pointwise_engine(self):
+        pts = np.array([[0.3, 0.2, 0.1], [-0.4, 0.5, 0.2], [0.1, -0.2, -0.6],
+                        [0.25, -0.35, 0.15]])
+        for model in (quadrinomial_model(), vidal_model(2), vidal_model(3),
+                      product_model(quadrinomial_model(), 2), half_quadrinomial()):
+            x, y, z = pts.T
+            lanes = infogeo._fisher_sum(model.eval_xyz(x, y, z),
+                                        infogeo._partials(model.formula, x, y, z))
+            assert lanes.shape == (len(pts), 3, 3)
+            for got, v in zip(lanes, pts):
+                want = fisher_information(model, BlochCartesian(*v)).entries
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_vanishing_outcome_on_any_lane_is_refused(self):
+        quad = quadrinomial_model()
+        pts = np.array([[0.3, 0.2, 0.1], [0.0, 0.3, 0.2]])
+        x, y, z = pts.T
+        with pytest.raises(ZeroProbabilityError) as err:
+            infogeo._fisher_sum(quad.eval_xyz(x, y, z), infogeo._partials(quad.formula, x, y, z))
+        assert err.value.indices == (0,)
+
+    def test_explicit_weights_skip_the_refusal(self):
+        quad = quadrinomial_model()
+        x, y, z = np.array([[0.0, 0.3, 0.2]]).T
+        w = np.array([[0.0], [1.0], [1.0], [1.0]])
+        got = infogeo._fisher_sum(quad.eval_xyz(x, y, z), infogeo._partials(quad.formula, x, y, z), w)
+        assert np.all(np.isfinite(got)) and np.array_equal(got[0, 0], [0.0, 0.0, 0.0])
+
+
 def half_quadrinomial():
     """Half the quadrinomial's outcomes plus one state-independent outcome 1/2."""
     quad = quadrinomial_model()
